@@ -690,8 +690,8 @@ let repl_session target =
     let module M = Tdp_txn.Mvcc in
     let o =
       M.recover_text ~load_schema:store_schema_loader ~schema
-        ?snapshot:(contents "snapshot.dump") ?wal:(contents "wal.log")
-        ?txn:(contents "txn.log") ()
+        ?snapshot:(contents M.snapshot_file) ?wal:(contents M.wal_file)
+        ?txn:(contents M.txn_file) ()
     in
     let db = M.to_database (M.head o.M.store ~branch:M.main_branch) in
     Session.of_database ~file:target db
@@ -763,6 +763,22 @@ let sockaddr_string = function
   | Unix.ADDR_INET (addr, port) ->
       Fmt.str "%s:%d" (Unix.string_of_inet_addr addr) port
 
+(* Run until SIGINT/SIGTERM, calling [tick] every [interval] seconds.
+   The handlers go in before [ready] prints the readiness line (stdout
+   is the readiness signal for scripts that spawn us), so a signal sent
+   as soon as that line appears is caught, never fatal. *)
+let until_signal ~interval ~tick ready =
+  let stop = Atomic.make false in
+  let on_signal _ = Atomic.set stop true in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  ready ();
+  flush stdout;
+  while not (Atomic.get stop) do
+    tick ();
+    Unix.sleepf interval
+  done
+
 (* `odb serve DIR` — recover the transactional store in DIR and serve
    it until SIGINT/SIGTERM.  Commits are write-ahead logged to
    DIR/txn.log; crash recovery replays committed brackets only. *)
@@ -800,30 +816,22 @@ let serve_cmd dir socket tcp domains no_sync json =
     in
     let bound = sockaddr_string (Server.sockaddr srv) in
     let head = Mvcc.head store ~branch:Mvcc.main_branch in
-    if json then
-      print_endline
-        (J.to_string
-           (envelope `Ok
-              (J.Obj
-                 [ ("dir", J.String dir);
-                   ("listening", J.String bound);
-                   ("objects", J.Int (Mvcc.count head));
-                   ("version", J.Int (Mvcc.version head));
-                   ("txn_applied", J.Int o.Mvcc.txn_applied);
-                   ("txn_discarded", J.Int o.Mvcc.txn_discarded)
-                 ])))
-    else
-      Fmt.pr "serving %s on %s (%d object(s), version %d, %d txn(s) replayed)@."
-        dir bound (Mvcc.count head) (Mvcc.version head) o.Mvcc.txn_applied;
-    (* stdout is the readiness signal for scripts that spawn us *)
-    flush stdout;
-    let stop = Atomic.make false in
-    let on_signal _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    while not (Atomic.get stop) do
-      Unix.sleepf 0.1
-    done;
+    until_signal ~interval:0.1 ~tick:ignore (fun () ->
+        if json then
+          print_endline
+            (J.to_string
+               (envelope `Ok
+                  (J.Obj
+                     [ ("dir", J.String dir);
+                       ("listening", J.String bound);
+                       ("objects", J.Int (Mvcc.count head));
+                       ("version", J.Int (Mvcc.version head));
+                       ("txn_applied", J.Int o.Mvcc.txn_applied);
+                       ("txn_discarded", J.Int o.Mvcc.txn_discarded)
+                     ])))
+        else
+          Fmt.pr "serving %s on %s (%d object(s), version %d, %d txn(s) replayed)@."
+            dir bound (Mvcc.count head) (Mvcc.version head) o.Mvcc.txn_applied);
     Server.stop srv;
     Mvcc.close store;
     if not json then Fmt.pr "shut down.@.";
@@ -937,41 +945,35 @@ let replicate_cmd primary_dir socket tcp save domains interval json =
     in
     let bound = sockaddr_string (Server.sockaddr srv) in
     let wal_seq, txn_seq = Replica.applied_seqs r in
-    if json then
-      print_endline
-        (J.to_string
-           (envelope `Ok
-              (J.Obj
-                 [ ("primary", J.String primary_dir);
-                   ("listening", J.String bound);
-                   ("wal_seq", J.Int wal_seq);
-                   ("txn_seq", J.Int txn_seq);
-                   ("shipped", J.Int shipped)
-                 ])))
-    else
-      Fmt.pr
-        "replicating %s on %s (read-only; wal %d, txn %d; %d record(s) \
-         shipped at start)@."
-        primary_dir bound wal_seq txn_seq shipped;
-    (* stdout is the readiness signal for scripts that spawn us *)
-    flush stdout;
-    let stop = Atomic.make false in
-    let on_signal _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
     let warned = ref false in
-    while not (Atomic.get stop) do
+    let tick () =
       ignore (Replica.poll r);
-      (match Replica.status r with
+      match Replica.status r with
       | Replica.Halted reason when not !warned ->
           warned := true;
           Fmt.epr
             "warning: replication halted: %s (still serving the last applied \
              state)@."
             reason
-      | _ -> ());
-      Unix.sleepf interval
-    done;
+      | _ -> ()
+    in
+    until_signal ~interval ~tick (fun () ->
+        if json then
+          print_endline
+            (J.to_string
+               (envelope `Ok
+                  (J.Obj
+                     [ ("primary", J.String primary_dir);
+                       ("listening", J.String bound);
+                       ("wal_seq", J.Int wal_seq);
+                       ("txn_seq", J.Int txn_seq);
+                       ("shipped", J.Int shipped)
+                     ])))
+        else
+          Fmt.pr
+            "replicating %s on %s (read-only; wal %d, txn %d; %d record(s) \
+             shipped at start)@."
+            primary_dir bound wal_seq txn_seq shipped);
     Server.stop srv;
     (match save with Some dir -> Replica.save r ~dir | None -> ());
     Replica.close r;
@@ -1058,28 +1060,20 @@ let route_cmd specs socket tcp domains json =
       try
         let srv = Router.start ?domains router addr in
         let bound = sockaddr_string (Server.sockaddr srv) in
-        if json then
-          print_endline
-            (J.to_string
-               (envelope `Ok
-                  (J.Obj
-                     [ ("listening", J.String bound);
-                       ("backends",
-                        J.List
-                          (List.map
-                             (fun (b : Router.backend) -> J.String b.b_name)
-                             (Router.backends router)))
-                     ])))
-        else
-          Fmt.pr "routing %d backend(s) on %s@." (List.length backends) bound;
-        flush stdout;
-        let stop = Atomic.make false in
-        let on_signal _ = Atomic.set stop true in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-        while not (Atomic.get stop) do
-          Unix.sleepf 0.1
-        done;
+        until_signal ~interval:0.1 ~tick:ignore (fun () ->
+            if json then
+              print_endline
+                (J.to_string
+                   (envelope `Ok
+                      (J.Obj
+                         [ ("listening", J.String bound);
+                           ("backends",
+                            J.List
+                              (List.map
+                                 (fun (b : Router.backend) -> J.String b.b_name)
+                                 (Router.backends router)))
+                         ])))
+            else Fmt.pr "routing %d backend(s) on %s@." (List.length backends) bound);
         Server.stop srv;
         if not json then Fmt.pr "shut down.@.";
         0

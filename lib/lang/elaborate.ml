@@ -196,7 +196,6 @@ let elaborate_gen ~check items =
 
 let elaborate_exn items = elaborate_gen ~check:true items
 let elaborate items = Error.guard (fun () -> elaborate_exn items)
-let program = elaborate
 
 (* A schema file is the statement sequence where every statement is a
    declaration; anything else is rejected with its position. *)

@@ -20,11 +20,6 @@ val elaborate_exn : Ast.program -> result_
 
 val elaborate : Ast.program -> (result_, Error.t) result
 
-val program : Ast.program -> (result_, Error.t) result
-  [@@ocaml.deprecated "use Elaborate.elaborate"]
-(** Deprecated alias of {!elaborate}, kept for callers that predate the
-    statement grammar. *)
-
 (** Parse and elaborate a source string.  Since the statement grammar
     subsumes the schema grammar, this parses the source as a statement
     sequence and requires every statement to be a declaration;

@@ -15,10 +15,10 @@ module Obs = Tdp_obs
 
    - wal.log records ([w], plain ops from the [odb store] write path)
      apply directly to the [main] head, one op per published version;
-   - txn.log records ([t], server commits) apply as whole
-     begin..commit brackets, exactly like {!Mvcc} replay — dangling
-     brackets stay buffered until their commit arrives (or forever: a
-     bracket the primary never committed is never applied).
+   - txn.log records ([t], server commits) go through {!Mvcc}'s
+     transaction-log replayer, the one recovery uses: brackets publish
+     at their commit, dangling ones stay buffered until it arrives (or
+     forever: a bracket the primary never committed is never applied).
 
    Shipping is torn-tail tolerant by construction: a record is applied
    only once its full line is present and checksummed, so killing the
@@ -44,16 +44,12 @@ let m_applied = Obs.Metrics.counter "replica.applied"
 let m_resyncs = Obs.Metrics.counter "replica.resyncs"
 let m_apply_ns = Obs.Metrics.histogram "replica.apply_ns"
 
-let snapshot_file = "snapshot.dump"
-let wal_file = "wal.log"
-let txn_file = "txn.log"
+let snapshot_file = Mvcc.snapshot_file
+let wal_file = Mvcc.wal_file
+let txn_file = Mvcc.txn_file
 let schema_file = "schema.odb"
 
 type status = Running | Halted of string
-
-(* One buffered transaction bracket: branch, staged ops (reversed),
-   and the seq of its begin record (the stable-state boundary). *)
-type bracket = { br_branch : string; mutable br_ops : Database.op list; br_seq : int }
 
 type t = {
   primary_dir : string;
@@ -69,7 +65,7 @@ type t = {
      means the log was rewritten in place under us *)
   mutable base_wal_seq : int;
   mutable base_txn_seq : int;
-  pending : (int, bracket) Hashtbl.t;
+  mutable replay : Mvcc.replay;  (* txn.log brackets, over [store] *)
   mutable resyncs : int;
   mutable status : status;
   (* a gap right after (re)opening a tail usually means the primary
@@ -101,25 +97,18 @@ let close_tails t =
   t.wal_tail <- None;
   t.txn_tail <- None
 
+let parse_wal payload =
+  match Wal.payload_of_string ~line:0 payload with
+  | op -> Ok op
+  | exception Dump.Parse_error { message; _ } -> Error message
+
 let open_tails t =
   close_tails t;
   let open_one ~magic ~parse path =
     if Sys.file_exists path then Some (Wal.tail_open ~magic ~parse path) else None
   in
-  t.wal_tail <-
-    open_one ~magic:'w'
-      ~parse:(fun payload ->
-        match Wal.payload_of_string ~line:0 payload with
-        | op -> Ok op
-        | exception Dump.Parse_error { message; _ } -> Error message)
-      (in_dir t wal_file);
-  t.txn_tail <-
-    open_one ~magic:Txn_log.magic
-      ~parse:(fun payload ->
-        match Txn_log.payload_of_string ~line:0 payload with
-        | r -> Ok r
-        | exception Dump.Parse_error { message; _ } -> Error message)
-      (in_dir t txn_file)
+  t.wal_tail <- open_one ~magic:'w' ~parse:parse_wal (in_dir t wal_file);
+  t.txn_tail <- open_one ~magic:Txn_log.magic ~parse:Txn_log.parse (in_dir t txn_file)
 
 (* (Re)load the base state from the primary's current snapshot.  The
    snapshot is written atomically ([Dump.save] renames), so we always
@@ -136,11 +125,11 @@ let load_base t =
         (Dump.wal_seq text, Dump.txn_seq text)
   in
   t.store <- Mvcc.of_database ?load_schema:t.load_schema db;
+  t.replay <- Mvcc.replay_start t.store;
   t.applied_wal_seq <- wal_seq;
   t.applied_txn_seq <- txn_seq;
   t.base_wal_seq <- wal_seq;
   t.base_txn_seq <- txn_seq;
-  Hashtbl.reset t.pending;
   open_tails t
 
 (* Just the snapshot's cursor headers — they are the first lines of
@@ -211,18 +200,19 @@ let resync t ~why =
 let open_ ?load_schema ~schema primary_dir =
   if not (Sys.file_exists primary_dir && Sys.is_directory primary_dir) then
     fail "no store directory %s" primary_dir;
+  let store = Mvcc.create ?load_schema schema in
   let t =
     { primary_dir;
       schema;
       load_schema;
-      store = Mvcc.create ?load_schema schema;
+      store;
       wal_tail = None;
       txn_tail = None;
       applied_wal_seq = 0;
       applied_txn_seq = 0;
       base_wal_seq = 0;
       base_txn_seq = 0;
-      pending = Hashtbl.create 8;
+      replay = Mvcc.replay_start store;
       resyncs = 0;
       status = Running;
       gap_retry = false
@@ -235,15 +225,6 @@ let open_ ?load_schema ~schema primary_dir =
 
 let main = Mvcc.main_branch
 
-(* Reasons mirror {!Wal}'s replay: expected failures carry their store
-   message, anything else is reported, never re-raised. *)
-let failure_reason = function
-  | Database.Store_error m -> m
-  | Dump.Parse_error { message; _ } -> message
-  | Wal.Wal_error m -> m
-  | Error.E err -> Error.message err
-  | exn -> Fmt.str "unexpected exception during replay: %s" (Printexc.to_string exn)
-
 let apply_wal_record t (e : Database.op Wal.framed) =
   match Mvcc.apply_op t.store (Mvcc.head t.store ~branch:main) e.fvalue with
   | snap ->
@@ -252,80 +233,21 @@ let apply_wal_record t (e : Database.op Wal.framed) =
       Obs.Metrics.incr m_applied;
       true
   | exception exn ->
-      halt t "wal record %d does not apply: %s" e.fseq (failure_reason exn);
+      halt t "wal record %d does not apply: %s" e.fseq (Mvcc.replay_failure exn);
       false
 
-(* Mirrors {!Mvcc}'s transaction-log replay, record by record:
-   committed brackets publish, dangling ones wait, structural damage
-   (commit without begin, fork of an existing branch, …) halts. *)
+(* Structural damage the replayer reports (commit without begin, fork
+   of an existing branch, a bracket that no longer applies, …) halts
+   at the seq recovery would truncate to. *)
 let apply_txn_record t (e : Txn_log.record Wal.framed) =
-  let ok () =
-    t.applied_txn_seq <- e.fseq;
-    Obs.Metrics.incr m_applied;
-    true
-  in
-  (match e.fvalue with
-  | Txn_log.Begin { txid; _ }
-  | Txn_log.Op { txid; _ }
-  | Txn_log.Commit { txid }
-  | Txn_log.Abort { txid; _ } ->
-      Mvcc.note_txid t.store txid
-  | Txn_log.Fork _ -> ());
-  match e.fvalue with
-  | Txn_log.Begin { txid; branch } ->
-      if Hashtbl.mem t.pending txid then begin
-        halt t "txn record %d: duplicate begin for txid %d" e.fseq txid;
-        false
-      end
-      else if not (List.mem_assoc branch (Mvcc.branches t.store)) then begin
-        halt t "txn record %d: begin on unknown branch %s" e.fseq branch;
-        false
-      end
-      else begin
-        Hashtbl.replace t.pending txid
-          { br_branch = branch; br_ops = []; br_seq = e.fseq };
-        ok ()
-      end
-  | Txn_log.Op { txid; op } -> (
-      match Hashtbl.find_opt t.pending txid with
-      | Some b ->
-          b.br_ops <- op :: b.br_ops;
-          ok ()
-      | None ->
-          halt t "txn record %d: op outside any open transaction (txid %d)"
-            e.fseq txid;
-          false)
-  | Txn_log.Abort { txid; _ } ->
-      Hashtbl.remove t.pending txid;
-      ok ()
-  | Txn_log.Fork { branch; from_ } -> (
-      match Mvcc.fork t.store ~from_ ~branch with
-      | _ -> ok ()
-      | exception exn ->
-          halt t "txn record %d: fork does not apply: %s" e.fseq
-            (failure_reason exn);
-          false)
-  | Txn_log.Commit { txid } -> (
-      match Hashtbl.find_opt t.pending txid with
-      | None ->
-          halt t "txn record %d: commit without begin (txid %d)" e.fseq txid;
-          false
-      | Some b -> (
-          Hashtbl.remove t.pending txid;
-          let ops = List.rev b.br_ops in
-          match
-            List.fold_left
-              (fun snap op -> Mvcc.apply_op t.store snap op)
-              (Mvcc.head t.store ~branch:b.br_branch)
-              ops
-          with
-          | snap ->
-              ignore (Mvcc.publish t.store ~branch:b.br_branch ~ops snap);
-              ok ()
-          | exception exn ->
-              halt t "txn bracket at seq %d no longer applies: %s" b.br_seq
-                (failure_reason exn);
-              false))
+  match Mvcc.replay_record t.replay e with
+  | Ok () ->
+      t.applied_txn_seq <- e.fseq;
+      Obs.Metrics.incr m_applied;
+      true
+  | Error { stop_seq; stop_reason } ->
+      halt t "%s replay stops at seq %d: %s" txn_file stop_seq stop_reason;
+      false
 
 (* ---- the shipping loop --------------------------------------------- *)
 
@@ -453,7 +375,9 @@ let lag t =
 (* The txn seq the replica could restart from: everything up to it is
    applied and no open bracket spans it. *)
 let stable_txn_seq t =
-  Hashtbl.fold (fun _ b acc -> min acc (b.br_seq - 1)) t.pending t.applied_txn_seq
+  List.fold_left
+    (fun acc seq -> min acc (seq - 1))
+    t.applied_txn_seq (Mvcc.open_brackets t.replay)
 
 let close t =
   close_tails t;
@@ -545,22 +469,12 @@ let promote ?(allow_lag = false) ~replica_dir ~primary_dir () =
             | None -> (0, 0)
             | Some s -> (Dump.wal_seq s, Dump.txn_seq s)
           in
-          let parse_wal payload =
-            match Wal.payload_of_string ~line:0 payload with
-            | op -> Ok op
-            | exception Dump.Parse_error { message; _ } -> Error message
-          in
-          let parse_txn payload =
-            match Txn_log.payload_of_string ~line:0 payload with
-            | r -> Ok r
-            | exception Dump.Parse_error { message; _ } -> Error message
-          in
           let last_wal =
             last_seq_of_log ~magic:'w' ~parse:parse_wal ~ckpt:ckpt_wal
               (Filename.concat primary_dir wal_file)
           in
           let last_txn =
-            last_seq_of_log ~magic:Txn_log.magic ~parse:parse_txn ~ckpt:ckpt_txn
+            last_seq_of_log ~magic:Txn_log.magic ~parse:Txn_log.parse ~ckpt:ckpt_txn
               (Filename.concat primary_dir txn_file)
           in
           let p =

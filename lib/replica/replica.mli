@@ -8,9 +8,10 @@
 
     - [wal.log] records (plain ops, the [odb store] write path)
       directly to its [main] head, one published version per record;
-    - [txn.log] records (server commits) as whole [begin..commit]
-      brackets, mirroring {!Tdp_txn.Mvcc} replay: dangling brackets
-      stay buffered and are never applied.
+    - [txn.log] records (server commits) through
+      {!Tdp_txn.Mvcc.replay_record}, the replayer recovery uses:
+      brackets publish at their commit, dangling ones stay buffered
+      and are never applied.
 
     Because a record applies only once its full line is present and
     checksummed, killing the feed at any byte offset leaves the

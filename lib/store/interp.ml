@@ -16,8 +16,18 @@ type frame = {
   frame_meth : Method_def.Key.t;
 }
 
+(* What the interpreter needs of an object store: the schema to
+   dispatch against and slot access.  A [Database] is one; a server
+   runs calls over an MVCC snapshot through the same four functions. *)
+type store = {
+  schema : unit -> Schema.t;
+  type_of : Oid.t -> Type_name.t;
+  get_attr : Oid.t -> Attr_name.t -> Value.t;
+  set_attr : Oid.t -> Attr_name.t -> Value.t -> unit;
+}
+
 type t = {
-  db : Database.t;
+  store : store;
   mutable dispatch : Dispatch.t;
   now : int;
   max_depth : int;
@@ -29,26 +39,28 @@ exception Runtime_error of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
 
-let create ?(now = 2026) ?(max_depth = 10_000) db =
-  { db;
-    dispatch = Dispatch.create (Database.schema db);
-    now;
-    max_depth;
-    frames = [];
-    depth = 0
-  }
+let make ?(now = 2026) ?(max_depth = 10_000) store =
+  { store; dispatch = Dispatch.create (store.schema ()); now; max_depth; frames = []; depth = 0 }
 
-let db t = t.db
+let of_store store = make store
 
-(* Rebuild the dispatcher after a schema change on the database. *)
+let create ?now ?max_depth db =
+  make ?now ?max_depth
+    { schema = (fun () -> Database.schema db);
+      type_of = Database.type_of db;
+      get_attr = Database.get_attr db;
+      set_attr = Database.set_attr db
+    }
+
+(* Rebuild the dispatcher after a schema change on the store. *)
 let refresh t =
   { t with
-    dispatch = Dispatch.create (Database.schema t.db);
+    dispatch = Dispatch.create (t.store.schema ());
     frames = [];
     depth = 0
   }
 
-(* The database's schema can be swapped under a live interpreter
+(* The store's schema can be swapped under a live interpreter
    ([Database.set_schema] after an evolution or factoring step).  A
    dispatcher memoizes outcomes for exactly one schema value, so
    answering from [t.dispatch] after a swap would silently dispatch
@@ -57,7 +69,7 @@ let refresh t =
    ([call_next_method]) frames keep the dispatcher they started with,
    as the schema cannot change within a call. *)
 let dispatcher t =
-  let schema = Database.schema t.db in
+  let schema = t.store.schema () in
   if Dispatch.generation t.dispatch <> Schema.generation schema then begin
     Obs.Metrics.incr m_rebuild;
     t.dispatch <- Dispatch.create schema
@@ -165,7 +177,7 @@ and call t gf args =
         call_uninstrumented t gf args)
 
 and call_uninstrumented t gf args =
-  let schema = Database.schema t.db in
+  let schema = t.store.schema () in
   let is_writer = Schema.is_writer_gf schema gf in
   let dispatched, extra =
     if is_writer then
@@ -178,7 +190,7 @@ and call_uninstrumented t gf args =
     List.map
       (fun v ->
         match (v : Value.t) with
-        | Ref o -> Database.type_of t.db o
+        | Ref o -> t.store.type_of o
         | v -> fail "generic function %s applied to non-object %a" gf Value.pp v)
       dispatched
   in
@@ -213,13 +225,13 @@ and run_framed t frame m args =
 
 and run_method t m args =
   match (Method_def.kind m, args) with
-  | Reader a, [ Value.Ref o ] -> Database.get_attr t.db o a
+  | Reader a, [ Value.Ref o ] -> t.store.get_attr o a
   | Writer a, [ Value.Ref o; v ] ->
-      Database.set_attr t.db o a v;
+      t.store.set_attr o a v;
       Value.Null
   | Writer a, [ Value.Ref o ] ->
       (* writer invoked without a value: clear the slot *)
-      Database.set_attr t.db o a Value.Null;
+      t.store.set_attr o a Value.Null;
       Value.Null
   | (Reader _ | Writer _), _ ->
       fail "accessor %s applied to unexpected arguments" (Method_def.id m)

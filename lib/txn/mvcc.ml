@@ -484,6 +484,16 @@ let trim_recent br =
       br.recent <- kept;
       br.floor <- v
 
+(* Stamp [snap] with the next version and make it [br]'s head,
+   recording its write set.  The caller holds the store lock. *)
+let install t br writes snap =
+  let v = t.version + 1 in
+  t.version <- v;
+  br.head <- { snap with version = v };
+  br.recent <- (v, writes) :: br.recent;
+  trim_recent br;
+  v
+
 let commit txn =
   match txn.state with
   | Committed v -> Error (Invalid (Fmt.str "transaction %d already committed as version %d" txn.txid v))
@@ -547,43 +557,115 @@ let commit txn =
                           Obs.Metrics.incr m_abort;
                           raise exn
                       | () ->
-                          let v = t.version + 1 in
-                          t.version <- v;
-                          br.head <- { snap with version = v };
-                          br.recent <- (v, txn.writes) :: br.recent;
-                          trim_recent br;
+                          let v = install t br txn.writes snap in
                           txn.state <- Committed v;
                           Obs.Metrics.incr m_commit;
                           Ok v))))
 
 (* ---- replication support ------------------------------------------- *)
 
-(* A replica replays the primary's logs outside any transaction: it
-   validates each op against its current head with [apply_op] and
-   installs the successor with [publish].  Publication still maintains
-   the per-branch write-set history, so local read-only transactions
-   (and a post-promotion switch to writes) see a coherent store. *)
+(* A replica applies the primary's plain wal.log ops outside any
+   transaction: it validates each against its current head with
+   [apply_op] and installs the successor with [publish] (txn.log goes
+   through the replayer below).  Publication still maintains the
+   per-branch write-set history, so local read-only transactions (and a
+   post-promotion switch to writes) see a coherent store. *)
 
 let apply_op t s op = apply ?load_schema:t.load_schema s op
 
 let publish t ~branch ~ops snap =
   locked t (fun () ->
       check_live t;
-      let br = find_branch t branch in
-      let v = t.version + 1 in
-      t.version <- v;
-      br.head <- { snap with version = v };
-      br.recent <- (v, List.fold_left writes_add no_writes ops) :: br.recent;
-      trim_recent br;
-      v)
-
-let note_txid t txid =
-  locked t (fun () -> if txid >= t.next_txid then t.next_txid <- txid + 1)
+      install t (find_branch t branch) (List.fold_left writes_add no_writes ops) snap)
 
 let log_seqs t =
   locked t (fun () ->
       ( t.wal_seq,
         match t.writer with Some w -> Wal.writer_seq w - 1 | None -> 0 ))
+
+(* ---- transaction-log replay ---------------------------------------- *)
+
+(* The one place a transaction log turns back into versions, fed one
+   framed record at a time: recovery feeds it a decoded log, a replica
+   the records it tails.  Every txid seen moves the allocator past it.
+   A begin opens a bracket that buffers its ops until the commit, which
+   applies them to the branch head and publishes one version; an abort
+   drops the bracket; a fork copies the source head.  Structural damage
+   stops replay at a seq — the record's own, or for a bracket that no
+   longer applies its begin's — and the caller decides what stopping
+   means (truncation for recovery, a halt for a replica).  A replica
+   serves reads while it replays, so store state is touched under the
+   lock only. *)
+
+type bracket = { b_branch : string; mutable b_ops : Database.op list; b_seq : int }
+type replay = { r_store : t; brackets : (int, bracket) Hashtbl.t }
+type replay_stop = { stop_seq : int; stop_reason : string }
+
+let replay_start t = { r_store = t; brackets = Hashtbl.create 8 }
+let open_brackets r = Hashtbl.fold (fun _ b acc -> b.b_seq :: acc) r.brackets []
+
+(* Expected failures carry their own message; anything else is
+   reported by name, never re-raised. *)
+let replay_failure = function
+  | Database.Store_error m -> m
+  | Dump.Parse_error { message; _ } -> message
+  | Wal.Wal_error m -> m
+  | Error.E err -> Error.message err
+  | exn -> Fmt.str "unexpected exception during replay: %s" (Printexc.to_string exn)
+
+let replay_record r (e : Txn_log.record Wal.framed) =
+  let t = r.r_store in
+  let stop ?(seq = e.Wal.fseq) fmt =
+    Fmt.kstr (fun stop_reason -> Error { stop_seq = seq; stop_reason }) fmt
+  in
+  (match e.Wal.fvalue with
+  | Txn_log.Begin { txid; _ }
+  | Txn_log.Op { txid; _ }
+  | Txn_log.Commit { txid }
+  | Txn_log.Abort { txid; _ } ->
+      locked t (fun () -> if txid >= t.next_txid then t.next_txid <- txid + 1)
+  | Txn_log.Fork _ -> ());
+  match e.Wal.fvalue with
+  | Txn_log.Begin { txid; branch } ->
+      if Hashtbl.mem r.brackets txid then stop "duplicate begin for txid %d" txid
+      else if not (locked t (fun () -> Hashtbl.mem t.branches branch)) then
+        stop "begin on unknown branch %s" branch
+      else begin
+        Hashtbl.replace r.brackets txid { b_branch = branch; b_ops = []; b_seq = e.Wal.fseq };
+        Ok ()
+      end
+  | Txn_log.Op { txid; op } -> (
+      match Hashtbl.find_opt r.brackets txid with
+      | Some b ->
+          b.b_ops <- op :: b.b_ops;
+          Ok ()
+      | None -> stop "op outside any open transaction (txid %d)" txid)
+  | Txn_log.Abort { txid; _ } ->
+      Hashtbl.remove r.brackets txid;
+      Ok ()
+  | Txn_log.Fork { branch; from_ } ->
+      locked t (fun () ->
+          match Hashtbl.find_opt t.branches from_ with
+          | None -> stop "fork from unknown branch %s" from_
+          | Some _ when Hashtbl.mem t.branches branch ->
+              stop "fork of existing branch %s" branch
+          | Some src ->
+              Hashtbl.replace t.branches branch
+                { head = src.head; recent = []; floor = src.head.version };
+              Ok ())
+  | Txn_log.Commit { txid } -> (
+      match Hashtbl.find_opt r.brackets txid with
+      | None -> stop "commit without begin (txid %d)" txid
+      | Some b -> (
+          Hashtbl.remove r.brackets txid;
+          let ops = List.rev b.b_ops in
+          match List.fold_left (apply_op t) (head t ~branch:b.b_branch) ops with
+          | snap ->
+              ignore (publish t ~branch:b.b_branch ~ops snap);
+              Ok ()
+          | exception exn ->
+              stop ~seq:b.b_seq "replayed transaction no longer applies: %s"
+                (replay_failure exn)))
 
 (* ---- branches ------------------------------------------------------ *)
 
@@ -614,97 +696,13 @@ type opened = {
   tmp_removed : bool;
 }
 
-(* Replay the transaction log on a freshly recovered store.  Runs
-   before the store is shared, so no locking.  Structural damage (a
-   commit without its begin, a fork of an existing branch, a bracket
-   that no longer applies) ends the replayable prefix exactly like a
-   checksum failure; dangling brackets — crash mid-commit — are
-   discarded silently. *)
-let replay_txn_log t ~base_seq src =
-  let d = Txn_log.decode src in
-  let pending = Hashtbl.create 8 in
-  let applied = ref 0 in
-  let corruption = ref d.Wal.fcorruption in
-  let valid = ref d.Wal.fvalid_bytes in
-  let next_seq = ref d.Wal.fnext_seq in
-  let stop = ref false in
-  let prev_end = ref 0 in
-  let stop_at ~start ~seq reason =
-    corruption := Some { Wal.at_seq = seq; offset = start; reason };
-    valid := start;
-    next_seq := seq;
-    stop := true
+(* The byte offset at which record [seq] starts in a decoded log. *)
+let offset_of_seq entries seq =
+  let rec go prev = function
+    | [] -> prev
+    | (e : _ Wal.framed) :: rest -> if e.Wal.fseq = seq then prev else go e.Wal.fends_at rest
   in
-  List.iter
-    (fun (e : Txn_log.record Wal.framed) ->
-      let start = !prev_end in
-      prev_end := e.Wal.fends_at;
-      if (not !stop) && e.Wal.fseq > base_seq then begin
-        (match e.Wal.fvalue with
-        | Txn_log.Begin { txid; _ }
-        | Txn_log.Op { txid; _ }
-        | Txn_log.Commit { txid }
-        | Txn_log.Abort { txid; _ } ->
-            if txid >= t.next_txid then t.next_txid <- txid + 1
-        | Txn_log.Fork _ -> ());
-        match e.Wal.fvalue with
-        | Txn_log.Begin { txid; branch } ->
-            if Hashtbl.mem pending txid then
-              stop_at ~start ~seq:e.Wal.fseq (Fmt.str "duplicate begin for txid %d" txid)
-            else if not (Hashtbl.mem t.branches branch) then
-              stop_at ~start ~seq:e.Wal.fseq
-                (Fmt.str "begin on unknown branch %s" branch)
-            else Hashtbl.replace pending txid (branch, ref [], start, e.Wal.fseq)
-        | Txn_log.Op { txid; op } -> (
-            match Hashtbl.find_opt pending txid with
-            | Some (_, ops, _, _) -> ops := op :: !ops
-            | None ->
-                stop_at ~start ~seq:e.Wal.fseq
-                  (Fmt.str "op outside any open transaction (txid %d)" txid))
-        | Txn_log.Abort { txid; _ } -> Hashtbl.remove pending txid
-        | Txn_log.Fork { branch; from_ } -> (
-            match Hashtbl.find_opt t.branches from_ with
-            | None ->
-                stop_at ~start ~seq:e.Wal.fseq
-                  (Fmt.str "fork from unknown branch %s" from_)
-            | Some src_br ->
-                if Hashtbl.mem t.branches branch then
-                  stop_at ~start ~seq:e.Wal.fseq
-                    (Fmt.str "fork of existing branch %s" branch)
-                else
-                  Hashtbl.replace t.branches branch
-                    { head = src_br.head; recent = []; floor = src_br.head.version })
-        | Txn_log.Commit { txid } -> (
-            match Hashtbl.find_opt pending txid with
-            | None ->
-                stop_at ~start ~seq:e.Wal.fseq
-                  (Fmt.str "commit without begin (txid %d)" txid)
-            | Some (bname, ops, bstart, bseq) -> (
-                Hashtbl.remove pending txid;
-                let br = Hashtbl.find t.branches bname in
-                match
-                  List.fold_left
-                    (fun (snap, w) op ->
-                      (apply ?load_schema:t.load_schema snap op, writes_add w op))
-                    (br.head, no_writes) (List.rev !ops)
-                with
-                | exception Database.Store_error msg ->
-                    stop_at ~start:bstart ~seq:bseq
-                      ("replayed transaction no longer applies: " ^ msg)
-                | snap, w ->
-                    let v = t.version + 1 in
-                    t.version <- v;
-                    br.head <- { snap with version = v };
-                    br.recent <- (v, w) :: br.recent;
-                    trim_recent br;
-                    incr applied))
-      end)
-    d.Wal.fentries;
-  ( !applied,
-    Hashtbl.length pending,
-    !corruption,
-    !valid,
-    !next_seq )
+  go 0 entries
 
 let recover_text ?load_schema ?(sync = true) ~schema ?snapshot ?wal ?txn () =
   let wal_rec = Wal.recover_text ?load_schema ~schema ?snapshot ?wal () in
@@ -712,8 +710,22 @@ let recover_text ?load_schema ?(sync = true) ~schema ?snapshot ?wal ?txn () =
   let t = make ?load_schema ~sync base in
   t.wal_seq <- wal_rec.Wal.last_seq;
   let base_seq = match snapshot with Some s -> Dump.txn_seq s | None -> 0 in
-  let applied, discarded, corruption, valid, next_seq =
-    replay_txn_log t ~base_seq (Option.value ~default:"" txn)
+  let d = Txn_log.decode (Option.value ~default:"" txn) in
+  let r = replay_start t in
+  (* Records the snapshot already absorbed are skipped; a replay stop
+     ends the replayable prefix exactly like a checksum failure. *)
+  let rec go = function
+    | [] -> Ok ()
+    | (e : Txn_log.record Wal.framed) :: rest -> (
+        if e.Wal.fseq <= base_seq then go rest
+        else match replay_record r e with Ok () -> go rest | Error _ as stop -> stop)
+  in
+  let corruption, valid, next_seq =
+    match go d.Wal.fentries with
+    | Ok () -> (d.Wal.fcorruption, d.Wal.fvalid_bytes, d.Wal.fnext_seq)
+    | Error { stop_seq; stop_reason } ->
+        let offset = offset_of_seq d.Wal.fentries stop_seq in
+        (Some { Wal.at_seq = stop_seq; offset; reason = stop_reason }, offset, stop_seq)
   in
   (* A checkpoint truncates the log but bakes its last txn-seq into the
      snapshot header; new records must continue past it, or the next
@@ -722,8 +734,9 @@ let recover_text ?load_schema ?(sync = true) ~schema ?snapshot ?wal ?txn () =
   { store = t;
     wal_replayed = wal_rec.Wal.replayed;
     wal_corruption = wal_rec.Wal.corruption;
-    txn_applied = applied;
-    txn_discarded = discarded;
+    (* the base is version 0 and each replayed bracket publishes one *)
+    txn_applied = t.version;
+    txn_discarded = List.length (open_brackets r);
     txn_corruption = corruption;
     txn_valid_bytes = valid;
     txn_next_seq = next_seq;

@@ -140,9 +140,13 @@ val abort : ?reason:string -> txn -> unit
 
 (** {1 Replication support}
 
-    The hooks a log-shipping replica ({!Tdp_replica}) applies records
-    through, outside any transaction.  They maintain the same
-    per-branch version and write-set history commits do. *)
+    A log-shipping replica ({!Tdp_replica}) applies the primary's logs
+    outside any transaction.  Plain [wal.log] ops go through
+    {!apply_op} and {!publish}; [txn.log] records go through the same
+    {!replay_record} recovery uses, so a replica and a restarted
+    primary turn one log prefix into the same branch states.  Both
+    maintain the per-branch version and write-set history commits
+    do. *)
 
 (** Validate and apply one op against a snapshot, returning the
     successor (version unchanged until {!publish}).
@@ -154,8 +158,33 @@ val apply_op : t -> snapshot -> Database.op -> snapshot
     first-writer-wins history; returns the published version. *)
 val publish : t -> branch:string -> ops:Database.op list -> snapshot -> int
 
-(** Advance the transaction-id allocator past a replayed [txid]. *)
-val note_txid : t -> int -> unit
+(** Why replaying an op failed: a store, parse, log or schema error's
+    own message, any other exception by name. *)
+val replay_failure : exn -> string
+
+(** An incremental transaction-log replayer over one store. *)
+type replay
+
+(** Where replay must stop: the seq of the offending record (of its
+    [begin] when a committed bracket no longer applies) and why. *)
+type replay_stop = { stop_seq : int; stop_reason : string }
+
+val replay_start : t -> replay
+
+(** Feed the next framed record.  Every txid seen advances the
+    transaction-id allocator; [begin]/[op] buffer per txid, [abort]
+    drops the bracket, [fork] copies the source head, and [commit]
+    applies the bracket to its branch head and publishes one version.
+    A duplicate begin, a begin on an unknown branch, an op or commit
+    outside any bracket, a fork from an unknown branch or onto an
+    existing one, and a bracket that no longer applies return [Error];
+    the store is then unchanged by that record and replay must not
+    continue.  Safe while readers use the store. *)
+val replay_record : replay -> Txn_log.record Wal.framed -> (unit, replay_stop) result
+
+(** The begin seqs of brackets still waiting for their commit — the
+    dangling brackets a crash mid-commit leaves, never published. *)
+val open_brackets : replay -> int list
 
 (** The last durable (wal seq, txn seq) this store has absorbed: the
     wal.log record folded into the base plus the transaction-log
@@ -164,6 +193,13 @@ val note_txid : t -> int -> unit
 val log_seqs : t -> int * int
 
 (** {1 Durability and recovery} *)
+
+(** The files of a store directory: the atomic snapshot, the plain
+    write-ahead log and the transaction log. *)
+val snapshot_file : string
+
+val wal_file : string
+val txn_file : string
 
 type opened = {
   store : t;
@@ -178,10 +214,10 @@ type opened = {
 }
 
 (** Recover a store from snapshot / WAL / transaction-log {e contents}:
-    base state via {!Wal.recover_text}, then replay of every committed
-    bracket above the snapshot's [txn-seq] header.  Total on arbitrary
-    [txn] bytes — corruption and structurally invalid records end the
-    replayable prefix; dangling brackets are discarded. *)
+    base state via {!Wal.recover_text}, then {!replay_record} over
+    every record above the snapshot's [txn-seq] header.  Total on
+    arbitrary [txn] bytes — corruption and a {!replay_stop} both end
+    the replayable prefix; dangling brackets are discarded. *)
 val recover_text :
   ?load_schema:(string -> Schema.t) ->
   ?sync:bool ->

@@ -177,37 +177,33 @@ let abort_open s reason =
    the transaction overlay when one is open and the branch head
    otherwise (exactly like [get]/[extent]); writes stage through the
    open transaction and fail with a structured TDP055 diagnostic when
-   none is open.  Method calls run on a scratch materialization of the
-   read snapshot with a journal attached; any ops the method performs
-   are replayed into the open transaction, so a mutating method outside
-   a transaction changes nothing and reports the failure. *)
-
-let replay_op t (op : Database.op) =
-  match op with
-  | Database.Op_new { oid; ty; init } ->
-      let oid' = Mvcc.new_object t ty ~init in
-      if not (Oid.equal oid oid') then
-        raise
-          (Database.Store_error
-             (Fmt.str "method replay allocated #%d where the call saw #%d"
-                (Oid.to_int oid') (Oid.to_int oid)))
-  | Database.Op_set { oid; attr; value } -> Mvcc.set_attr t oid attr value
-  | Database.Op_delete { oid; policy } -> Mvcc.delete t ~policy oid
-  | Database.Op_set_schema { source } -> Mvcc.set_schema t ~source
+   none is open.  A method call runs on the read snapshot itself: each
+   write it makes validates into a call-local successor snapshot, so
+   the method reads its own writes, and only once the call returns are
+   the writes staged into the open transaction.  A failing call, or a
+   mutating one outside a transaction, therefore changes nothing. *)
 
 let eval_call s gf args =
-  let db = Mvcc.to_database (read_snapshot s) in
-  let ops = ref [] in
-  Database.set_journal db (Some (fun op -> ops := op :: !ops));
-  let result = Tdp_store.Interp.call (Tdp_store.Interp.create db) gf args in
-  Database.set_journal db None;
-  (match List.rev !ops with
+  let snap = ref (read_snapshot s) in
+  let writes = ref [] in
+  let result =
+    Tdp_store.Interp.call
+      (Tdp_store.Interp.of_store
+         { schema = (fun () -> Mvcc.schema !snap);
+           type_of = (fun oid -> Mvcc.type_of !snap oid);
+           get_attr = (fun oid attr -> Mvcc.get_attr !snap oid attr);
+           set_attr =
+             (fun oid attr value ->
+               snap := Mvcc.apply_op s.store !snap (Database.Op_set { oid; attr; value });
+               writes := (oid, attr, value) :: !writes)
+         })
+      gf args
+  in
+  (match List.rev !writes with
   | [] -> ()
-  | ops ->
-      (* mutating method: persist its effects or fail having changed
-         nothing (the scratch database is discarded either way) *)
+  | writes ->
       let t = open_txn s in
-      List.iter (replay_op t) ops);
+      List.iter (fun (oid, attr, value) -> Mvcc.set_attr t oid attr value) writes);
   result
 
 let lang_ops s : Tdp_lang.Session.store_ops =
@@ -368,8 +364,13 @@ type t = {
 
 let locked srv f = Mutex.protect srv.reg_lock f
 
+let shutdown_quietly fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
 let register srv th fd =
   locked srv (fun () ->
+      (* accepted while [stop] runs: end it like the sessions it swept *)
+      if Atomic.get srv.stopping then shutdown_quietly fd;
       srv.active <- (th, fd) :: srv.active;
       Obs.Metrics.incr m_sessions;
       Obs.Metrics.set_gauge m_active (float_of_int (List.length srv.active)))
@@ -527,6 +528,10 @@ let sockaddr srv = srv.sockaddr
 
 let stop srv =
   if not (Atomic.exchange srv.stopping true) then begin
+    (* Sessions first: each runs on a systhread of its accepter domain,
+       and joining a domain waits for its threads, so one idle client
+       would otherwise hold the joins below until it disconnects. *)
+    locked srv (fun () -> List.iter (fun (_, fd) -> shutdown_quietly fd) srv.active);
     (* one wake-up connection per accepter, then close the listener *)
     List.iter
       (fun _ ->
@@ -550,13 +555,7 @@ let stop srv =
     List.iter Domain.join srv.accepters;
     srv.accepters <- [];
     (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
-    (* sessions: shut the sockets down, then wait the threads out *)
-    let active = locked srv (fun () -> srv.active) in
-    List.iter
-      (fun (_, fd) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      active;
-    List.iter (fun (th, _) -> Thread.join th) active;
+    List.iter (fun (th, _) -> Thread.join th) (locked srv (fun () -> srv.active));
     match srv.sockaddr with
     | Unix.ADDR_UNIX path ->
         if Sys.file_exists path then (

@@ -39,6 +39,10 @@ val payload_to_string : record -> string
 (** @raise Tdp_store.Dump.Parse_error on malformed payloads. *)
 val payload_of_string : line:int -> string -> record
 
+(** {!payload_of_string} as a result — the [parse] a {!Tdp_store.Wal}
+    tail or decoder takes. *)
+val parse : string -> (record, string) result
+
 (** One full framed record line, trailing newline included. *)
 val encode : seq:int -> record -> string
 

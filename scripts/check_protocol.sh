@@ -4,8 +4,9 @@
 # Starts a server on a throwaway store, drives it through `odb connect`,
 # and diffs the responses against pinned transcripts — the wire protocol
 # is a compatibility surface, so any drift must be a conscious choice.
-# A final two-client race checks the conflict path (prefix-matched: the
-# loser's message embeds version numbers).
+# A two-client race checks the conflict path (prefix-matched: the
+# loser's message embeds version numbers), and a final SIGTERM with an
+# idle client connected checks the server exits 0 within 2 s.
 #
 # Usage: scripts/check_protocol.sh   (run from the repository root)
 set -eu
@@ -152,9 +153,30 @@ case "$a_commit" in
   *) echo "check_protocol: race loser FAILED: $a_commit" >&2; status=1 ;;
 esac
 
+# -- 5: SIGTERM with an idle client connected — exit 0 within 2 s -----
+mkfifo "$tmp/idle.in"
+"$ODB" connect "$tmp/odb.sock" <"$tmp/idle.in" >/dev/null &
+a_pid=$!
+exec 3>"$tmp/idle.in"
+printf 'ping\n' >&3
+sleep 0.3
 kill "$server_pid"
-wait "$server_pid" 2>/dev/null || true
+# a watchdog SIGKILLs a server that outlives the deadline: exit 137
+( sleep 2; kill -9 "$server_pid" 2>/dev/null ) &
+watchdog=$!
+rc=0
+wait "$server_pid" || rc=$?
 server_pid=
+kill "$watchdog" 2>/dev/null || true
+exec 3>&-
+wait "$a_pid" 2>/dev/null || true
+a_pid=
+if [ "$rc" -eq 0 ]; then
+  echo "check_protocol: SIGTERM with an idle client OK"
+else
+  echo "check_protocol: SIGTERM with an idle client FAILED (exit $rc; 137 = still running after 2 s)" >&2
+  status=1
+fi
 
 [ "$status" -eq 0 ] && echo "check_protocol: all transcripts match"
 exit "$status"

@@ -305,18 +305,26 @@ let prop_ship_random =
 
 (* A primary driven through real MVCC transactions: committed and
    aborted brackets, a fork, and two interleaved transactions whose
-   commits arrive out of begin order. *)
+   commits arrive out of begin order.  Returns the primary's own branch
+   states after each commit or fork — [states.(k)] is what the first
+   [k] such records leave — an oracle that never replays the log. *)
 let build_txn_primary dir =
   let o = Mvcc.open_dir ~sync:false ~load_schema ~schema dir in
   let s = o.Mvcc.store in
+  let states = ref [ branch_dumps s ] in
+  let logged () = states := branch_dumps s :: !states in
+  let commit name t =
+    match Mvcc.commit t with Ok _ -> logged () | Error _ -> Alcotest.fail name
+  in
   let t1 = Mvcc.begin_ s in
   let e1 = Mvcc.new_object t1 (ty "Employee") ~init:[ (at "ssn", Value.Int 1) ] in
   ignore (Mvcc.new_object t1 (ty "Team") ~init:[ (at "manager", Value.Ref e1) ]);
-  (match Mvcc.commit t1 with Ok _ -> () | Error _ -> Alcotest.fail "t1");
+  commit "t1" t1;
   ignore (Mvcc.fork s ~from_:Mvcc.main_branch ~branch:"dev");
+  logged ();
   let t2 = Mvcc.begin_ ~branch:"dev" s in
   Mvcc.set_attr t2 e1 (at "pay_rate") (Value.Float 9.5);
-  (match Mvcc.commit t2 with Ok _ -> () | Error _ -> Alcotest.fail "t2");
+  commit "t2" t2;
   let t3 = Mvcc.begin_ s in
   Mvcc.set_attr t3 e1 (at "hrs_worked") (Value.Float 1.0);
   Mvcc.abort ~reason:"changed my mind" t3;
@@ -324,18 +332,37 @@ let build_txn_primary dir =
   let t5 = Mvcc.begin_ ~branch:"dev" s in
   Mvcc.set_attr t5 e1 (at "name") (Value.String "dev side");
   Mvcc.set_attr t4 e1 (at "name") (Value.String "main side");
-  (match Mvcc.commit t4 with Ok _ -> () | Error _ -> Alcotest.fail "t4");
-  (match Mvcc.commit t5 with Ok _ -> () | Error _ -> Alcotest.fail "t5");
-  Mvcc.close s
+  commit "t4" t4;
+  commit "t5" t5;
+  Mvcc.close s;
+  Array.of_list (List.rev !states)
 
 let test_txn_ship_every_offset () =
-  let log =
+  let log, states =
     with_temp_dir (fun dir ->
-        build_txn_primary dir;
-        In_channel.with_open_bin (Filename.concat dir "txn.log")
-          In_channel.input_all)
+        let states = build_txn_primary dir in
+        ( In_channel.with_open_bin (Filename.concat dir "txn.log")
+            In_channel.input_all,
+          states ))
   in
   Alcotest.(check bool) "fixture journaled" true (String.length log > 0);
+  let entries = (Tdp_txn.Txn_log.decode log).Wal.fentries in
+  (* records of kind [is] that end at or before the cut are durable *)
+  let durable_by is t =
+    List.length
+      (List.filter
+         (fun (e : Tdp_txn.Txn_log.record Wal.framed) ->
+           e.Wal.fends_at <= t && is e.Wal.fvalue)
+         entries)
+  in
+  let is_commit = function Tdp_txn.Txn_log.Commit _ -> true | _ -> false in
+  let is_commit_or_fork = function
+    | Tdp_txn.Txn_log.Commit _ | Tdp_txn.Txn_log.Fork _ -> true
+    | _ -> false
+  in
+  Alcotest.(check int) "one state per commit or fork"
+    (durable_by is_commit_or_fork (String.length log) + 1)
+    (Array.length states);
   with_temp_dir (fun dir ->
       let txn_path = Filename.concat dir "txn.log" in
       for t = 0 to String.length log do
@@ -353,9 +380,82 @@ let test_txn_ship_every_offset () =
         Alcotest.(check (list (pair string string)))
           (Fmt.str "branch states at cut %d" t)
           want got;
+        (* independently of any replay: one version per durable commit,
+           and the primary's own states *)
+        Alcotest.(check int)
+          (Fmt.str "commits after cut at %d" t)
+          (durable_by is_commit t)
+          (Mvcc.current_version (Replica.store r));
+        Alcotest.(check (list (pair string string)))
+          (Fmt.str "primary state at cut %d" t)
+          states.(durable_by is_commit_or_fork t)
+          got;
         Mvcc.close expected.Mvcc.store;
         Replica.close r
       done)
+
+(* ---- structural damage: recovery and replica stop alike -------------- *)
+
+(* Each damaged log is a valid bracket followed by damage; recovery
+   must truncate and the replica halt at the same seq for the same
+   reason, leaving the same state.  The seq is pinned independently:
+   the damaged record's own, or the begin of a bracket that no longer
+   applies. *)
+let test_structural_damage () =
+  let module L = Tdp_txn.Txn_log in
+  let set o = Database.Op_set { oid = oid o; attr = at "ssn"; value = Value.Int 2 } in
+  let valid =
+    [ L.Begin { txid = 1; branch = "main" };
+      L.Op { txid = 1; op = Database.Op_new { oid = oid 1; ty = ty "Employee"; init = [] } };
+      L.Commit { txid = 1 }
+    ]
+  in
+  let cases =
+    [ ( "duplicate begin",
+        [ L.Begin { txid = 2; branch = "main" }; L.Begin { txid = 2; branch = "main" } ],
+        5 );
+      ("begin on unknown branch", [ L.Begin { txid = 2; branch = "nowhere" } ], 4);
+      ("op outside a bracket", [ L.Op { txid = 2; op = set 1 } ], 4);
+      ("commit without begin", [ L.Commit { txid = 2 } ], 4);
+      ("fork from unknown branch", [ L.Fork { branch = "dev"; from_ = "nowhere" } ], 4);
+      ( "fork of existing branch",
+        [ L.Fork { branch = "dev"; from_ = "main" }; L.Fork { branch = "dev"; from_ = "main" } ],
+        5 );
+      ( "bracket no longer applies",
+        [ L.Begin { txid = 2; branch = "main" }; L.Op { txid = 2; op = set 9 }; L.Commit { txid = 2 } ],
+        4 )
+    ]
+  in
+  List.iter
+    (fun (name, damage, want_seq) ->
+      let log =
+        String.concat "" (List.mapi (fun i r -> L.encode ~seq:(i + 1) r) (valid @ damage))
+      in
+      let o = Mvcc.recover_text ~load_schema ~schema ~txn:log () in
+      let c =
+        match o.Mvcc.txn_corruption with
+        | Some c -> c
+        | None -> Alcotest.failf "%s: recovery did not stop" name
+      in
+      Alcotest.(check int) (name ^ ": stop seq") want_seq c.Wal.at_seq;
+      Alcotest.(check int) (name ^ ": committed prefix") 1 o.Mvcc.txn_applied;
+      with_temp_dir (fun dir ->
+          write_file (Filename.concat dir "txn.log") log;
+          let r = Replica.open_ ~load_schema ~schema dir in
+          ignore (Replica.poll r);
+          Alcotest.(check bool)
+            (name ^ ": replica halts where recovery stops")
+            true
+            (Replica.status r
+            = Replica.Halted
+                (Fmt.str "txn.log replay stops at seq %d: %s" c.Wal.at_seq c.Wal.reason));
+          Alcotest.(check (list (pair string string)))
+            (name ^ ": same state")
+            (branch_dumps o.Mvcc.store)
+            (branch_dumps (Replica.store r));
+          Replica.close r);
+      Mvcc.close o.Mvcc.store)
+    cases
 
 (* ---- checkpoint while tailing --------------------------------------- *)
 
@@ -646,6 +746,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ship_random;
     Alcotest.test_case "txn shipping: kill at every byte offset" `Quick
       test_txn_ship_every_offset;
+    Alcotest.test_case "structural damage: recovery and replica stop alike"
+      `Quick test_structural_damage;
     Alcotest.test_case "checkpoint while tailing" `Quick
       test_checkpoint_while_tailing;
     Alcotest.test_case "promotion: ok / lagging / diverged / phantom" `Quick

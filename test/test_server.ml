@@ -259,6 +259,99 @@ let test_disconnect_mid_response () =
           ignore (expect c "commit" "ok committed");
           ignore (expect c "get #1 ssn" "ok 9")))
 
+(* ---- served method calls -------------------------------------------- *)
+
+(* [raise] writes, then reads its own write; [botch] writes, then makes
+   a write that fails validation (a string into an int slot). *)
+let calls_source =
+  {|type Person { ssn : int; name : string; }
+type Employee : Person(1) { pay_rate : float; }
+reader get_ssn(self : Person) -> ssn;
+reader get_name(self : Person) -> name;
+reader get_pay_rate(self : Employee) -> pay_rate;
+writer set_pay_rate(self : Employee) -> pay_rate;
+writer set_ssn(self : Person) -> ssn;
+method raise(e : Employee) : float {
+  set_pay_rate(e, get_pay_rate(e) + 1.0);
+  return get_pay_rate(e);
+}
+method botch(e : Employee) : float {
+  set_pay_rate(e, 5.0);
+  set_ssn(e, get_name(e));
+  return get_pay_rate(e);
+}
+|}
+
+(* [call … on] through the [eval] verb: request, expected response. *)
+let test_served_calls () =
+  let store = Mvcc.create ~load_schema (load_schema calls_source) in
+  let s = Server.session ~store () in
+  let no_txn =
+    "err \"1:1: error[TDP055]: no open transaction (begin first)\""
+  and botched =
+    "err \"1:1: error[TDP055]: value \\\"ann\\\" does not conform to int\""
+  in
+  List.iter
+    (fun (req, want) -> Alcotest.(check string) req want (Server.handle_line s req))
+    [ ("begin", "ok txn 1 base 0");
+      ("new Employee ssn=1 name=\"ann\" pay_rate=10.0", "ok #1");
+      ("commit", "ok committed 1");
+      (* a writer outside a transaction fails and changes nothing *)
+      ("eval \"call raise on Employee;\"", no_txn);
+      ("get #1 pay_rate", "ok 10.0");
+      (* inside one, the method reads its own write, and the write is
+         visible to later reads and later calls *)
+      ("begin", "ok txn 2 base 1");
+      ("eval \"call raise on Employee;\"", "ok \"raise(#1) = 11\"");
+      ("get #1 pay_rate", "ok 11.0");
+      ("eval \"call get_pay_rate on Employee;\"", "ok \"get_pay_rate(#1) = 11\"");
+      (* a call sees the transaction's other uncommitted writes *)
+      ("set #1 ssn=5", "ok");
+      ("eval \"call get_ssn on Employee;\"", "ok \"get_ssn(#1) = 5\"");
+      (* a write failing validation leaves the view unchanged *)
+      ("eval \"call botch on Employee;\"", botched);
+      ("get #1 pay_rate", "ok 11.0");
+      ("commit", "ok committed 2");
+      ("get #1 pay_rate", "ok 11.0");
+      ("get #1 ssn", "ok 5");
+      (* ... and stages nothing: the commit is read-only *)
+      ("begin", "ok txn 3 base 2");
+      ("eval \"call botch on Employee;\"", botched);
+      ("commit", "ok committed 2");
+      ("version", "ok 2")
+    ]
+
+(* ---- stop with a client still connected ---------------------------- *)
+
+(* Session threads live on the accepter domains, so [stop] must end
+   them before it joins the domains: one idle client must not hold a
+   shutdown.  A watchdog bounds the wait; closing the client afterwards
+   releases a [stop] that hung, so a regression fails instead of
+   hanging the suite. *)
+let test_stop_with_idle_client () =
+  let store = Mvcc.create ~load_schema schema in
+  let path = Filename.temp_file "tdp_sock" ".sock" in
+  Sys.remove path;
+  let srv = Server.start ~domains:2 ~store (Unix.ADDR_UNIX path) in
+  let c = Server.connect (Server.sockaddr srv) in
+  ignore (expect c "ping" "ok pong");
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Server.stop srv;
+        Atomic.set stopped true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let in_time = Atomic.get stopped in
+  Server.close_client c;
+  Thread.join stopper;
+  Alcotest.(check bool) "stop returned within 2 s" true in_time
+
 let suite =
   [ Alcotest.test_case "protocol unit" `Quick test_protocol_unit;
     Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
@@ -271,7 +364,10 @@ let suite =
     Alcotest.test_case "disconnect aborts the open txn" `Quick
       test_session_disconnect_aborts;
     Alcotest.test_case "disconnect between request and response" `Quick
-      test_disconnect_mid_response
+      test_disconnect_mid_response;
+    Alcotest.test_case "served method calls" `Quick test_served_calls;
+    Alcotest.test_case "stop with an idle client connected" `Quick
+      test_stop_with_idle_client
   ]
 
 let () = Alcotest.run "server" [ ("server", suite) ]
