@@ -1398,7 +1398,7 @@ let serve_t =
   let no_sync =
     Arg.(
       value & flag
-      & info [ "no-sync" ] ~doc:"Skip the per-record fsync of the transaction log (faster, less durable).")
+      & info [ "no-sync" ] ~doc:"Skip the per-commit fsync of the transaction log (faster, less durable).")
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const serve_cmd $ dir $ socket $ tcp $ domains $ no_sync $ json_flag)

@@ -3,7 +3,8 @@ open Tdp_core
 (* Write-ahead log over the Dump value grammar.  See wal.mli for the
    record format and the recovery contract.  The design constraints:
 
-   - append must be cheap and sequential (one line, one fsync);
+   - append must be cheap and sequential (one write, one fsync per
+     batch of lines);
    - decoding must be total: any byte prefix of a valid log, and any
      single-byte corruption of one, decodes to a clean prefix of the
      committed operations — the fault-injection suite checks literally
@@ -391,14 +392,16 @@ let tail_close t = try Unix.close t.tfd with Unix.Unix_error _ -> ()
 
 (* [committed] is the byte length of the durable record prefix: every
    append that returned normally ends exactly there.  A failed append
-   (disk full, closed fd, failed fsync) may leave torn bytes beyond it
-   and may leave unflushable bytes in the channel buffer, so the writer
-   rolls the file back to [committed] (best-effort) and poisons itself:
-   the sequence counter is only ever bumped on success, so a poisoned
-   writer can never produce the gapped or shadowed seqs that [recover]
-   then refuses.  Re-open after {!repair} to resume. *)
+   (disk full, closed fd, failed fsync) may leave torn bytes beyond it,
+   so the writer rolls the file back to [committed] (best-effort) and
+   poisons itself: the sequence counter is only ever bumped on success,
+   so a poisoned writer can never produce the gapped or shadowed seqs
+   that [recover] then refuses.  Re-open after {!repair} to resume.
+   The writer owns a bare descriptor, not a channel: a channel would
+   keep a failed batch in its buffer and write it out again at close,
+   after the rollback. *)
 type writer = {
-  oc : out_channel;
+  fd : Unix.file_descr;
   magic : char;
   mutable next : int;
   sync : bool;
@@ -407,58 +410,61 @@ type writer = {
 }
 
 let writer_make flags ?(sync = true) ?(magic = 'w') ~path ~next_seq () =
-  let oc = open_out_gen flags 0o644 path in
+  let fd =
+    try Unix.openfile path (Unix.O_WRONLY :: Unix.O_CREAT :: flags) 0o644
+    with Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  in
   (* the open may have created the file: fsync the directory so the
      name itself survives a crash, not just later record fsyncs *)
   Dump.fsync_dir (Filename.dirname path);
-  let committed =
-    try (Unix.fstat (Unix.descr_of_out_channel oc)).st_size with Unix.Unix_error _ -> 0
-  in
-  { oc; magic; next = next_seq; sync; committed; poisoned = false }
+  let committed = try (Unix.fstat fd).st_size with Unix.Unix_error _ -> 0 in
+  { fd; magic; next = next_seq; sync; committed; poisoned = false }
 
 let writer_create ?sync ?magic ~path ~next_seq () =
-  writer_make [ Open_wronly; Open_creat; Open_trunc; Open_binary ] ?sync ?magic
-    ~path ~next_seq ()
+  writer_make [ Unix.O_TRUNC ] ?sync ?magic ~path ~next_seq ()
 
 let writer_open ?sync ?magic ~path ~next_seq () =
-  writer_make [ Open_wronly; Open_creat; Open_append; Open_binary ] ?sync ?magic
-    ~path ~next_seq ()
+  writer_make [ Unix.O_APPEND ] ?sync ?magic ~path ~next_seq ()
 
-let append_payload w payload =
+(* The batch is framed in memory and reaches the file through one
+   [Unix.write] (a single syscall up to its 64 KiB chunk size) and, in
+   sync mode, one fsync: a transaction bracket pays for one durable
+   write, not one per record. *)
+let append_batch w payloads =
   if w.poisoned then
     fail "wal writer is poisoned by an earlier failed append; repair and reopen";
   Obs.Metrics.time m_append_ns (fun () ->
-      let seq = w.next in
-      let record = encode_line ~magic:w.magic ~seq payload in
+      let first = w.next in
+      let batch =
+        String.concat ""
+          (List.mapi (fun i p -> encode_line ~magic:w.magic ~seq:(first + i) p) payloads)
+      in
+      let len = String.length batch in
       match
-        output_string w.oc record;
-        flush w.oc;
-        if w.sync then
-          Obs.Metrics.time m_fsync_ns (fun () ->
-              Unix.fsync (Unix.descr_of_out_channel w.oc))
+        if Unix.write_substring w.fd batch 0 len <> len then fail "short write to the log";
+        if w.sync then Obs.Metrics.time m_fsync_ns (fun () -> Unix.fsync w.fd)
       with
       | () ->
-          w.next <- seq + 1;
-          w.committed <- w.committed + String.length record;
-          Obs.Metrics.incr m_append;
-          seq
+          let n = List.length payloads in
+          w.next <- first + n;
+          w.committed <- w.committed + len;
+          Obs.Metrics.add m_append n;
+          first
       | exception exn ->
-          (* roll the file back to the last record boundary; whether or
-             not that works, the writer is done — the channel buffer may
-             still hold bytes we cannot retract *)
-          (try
-             Unix.ftruncate (Unix.descr_of_out_channel w.oc) w.committed
-           with _ -> ());
+          (* roll the file back to the last batch boundary; whether or
+             not that works, the writer is done *)
+          (try Unix.ftruncate w.fd w.committed with _ -> ());
           w.poisoned <- true;
           raise exn)
 
+let append_payload w payload = append_batch w [ payload ]
 let append w op = append_payload w (payload_to_string op)
 let writer_seq w = w.next
 let writer_poisoned w = w.poisoned
-let writer_fd w = Unix.descr_of_out_channel w.oc
+let writer_fd w = w.fd
 
 let attach w db = Database.set_journal db (Some (fun op -> ignore (append w op)))
-let close w = close_out_noerr w.oc
+let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
 
 (* ---- replay and recovery ------------------------------------------- *)
 

@@ -192,9 +192,10 @@ val repair : path:string -> int -> unit
 type writer
 
 (** Create (truncate) a WAL at [path].  [sync] (default [true]) fsyncs
-    after every appended record; [magic] (default ['w']) is the record
-    magic for layered log formats.  The parent directory is fsync'd so
-    the file's creation is itself durable. *)
+    once per append call (one record, or one {!append_batch});
+    [magic] (default ['w']) is the record magic for layered log
+    formats.  The parent directory is fsync'd so the file's creation is
+    itself durable. *)
 val writer_create :
   ?sync:bool -> ?magic:char -> path:string -> next_seq:int -> unit -> writer
 
@@ -205,15 +206,22 @@ val writer_create :
 val writer_open :
   ?sync:bool -> ?magic:char -> path:string -> next_seq:int -> unit -> writer
 
-(** Append one record; returns its sequence number.
+(** Frame raw payloads with consecutive sequence numbers and append
+    them; returns the first sequence number.  The framed batch reaches
+    the file through one write call and, in sync mode, one [fsync] — a
+    transaction bracket costs one durable write however many records it
+    holds.
 
-    Failure atomicity: the sequence counter advances only when the
-    record (and its fsync, in sync mode) fully succeeded.  A failed
-    append rolls the file back to the last record boundary
-    (best-effort) and {e poisons} the writer — every later append
-    raises {!Wal_error} instead of writing records that a torn tail
-    would make unreachable or that would gap the sequence.  Recover the
-    path with {!repair} and a fresh writer. *)
+    Failure atomicity is per batch: the sequence counter advances only
+    when the whole batch (and its fsync, in sync mode) succeeded.  A
+    failed append rolls the file back to the previous batch boundary
+    (best-effort, with [ftruncate]) and {e poisons} the writer — every
+    later append raises {!Wal_error} instead of writing records that a
+    torn tail would make unreachable or that would gap the sequence.
+    Recover the path with {!repair} and a fresh writer. *)
+val append_batch : writer -> string list -> int
+
+(** Append one record — a batch of one; returns its sequence number. *)
 val append : writer -> Database.op -> int
 
 (** {!append} for layered formats: frame and append a raw payload. *)

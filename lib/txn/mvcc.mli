@@ -15,10 +15,11 @@
     the base wrote an object this transaction also wrote (or either
     side swapped the schema), the transaction aborts with
     [Conflict].  Surviving transactions are logged as a
-    [begin]..[commit] bracket in the {!Txn_log} {e before} the head
-    moves, so a crash mid-commit leaves a dangling bracket that replay
-    discards — recovery always yields the last fully committed
-    version, never torn state.
+    [begin]..[commit] bracket in the {!Txn_log} — one write and one
+    fsync per commit — {e before} the head moves, so a crash
+    mid-commit leaves a dangling bracket that replay discards —
+    recovery always yields the last fully committed version, never
+    torn state.
 
     Domain-safety: reader domains may call every snapshot accessor
     below concurrently and lock-free; store operations ({!head},
@@ -192,6 +193,10 @@ val open_brackets : replay -> int list
     verb reports on a primary. *)
 val log_seqs : t -> int * int
 
+(** The transaction-log writer, if any — exposed so fault-injection
+    tests can sabotage it and exercise a failed commit append. *)
+val log_writer : t -> Wal.writer option
+
 (** {1 Durability and recovery} *)
 
 (** The files of a store directory: the atomic snapshot, the plain
@@ -231,8 +236,9 @@ val recover_text :
 (** Open a durable store directory ([snapshot.dump], [wal.log],
     [txn.log]; any may be absent): removes an orphaned snapshot
     [.tmp], recovers, repairs a torn transaction-log tail, and attaches
-    a transaction-log writer ([sync] defaults to fsync-per-record).
-    Subsequent commits are write-ahead logged into [DIR/txn.log]. *)
+    a transaction-log writer ([sync] defaults to one fsync per append:
+    per commit bracket, abort or fork record).  Subsequent commits are
+    write-ahead logged into [DIR/txn.log]. *)
 val open_dir :
   ?load_schema:(string -> Schema.t) ->
   ?sync:bool ->

@@ -87,3 +87,4 @@ let writer_open ?sync ~path ~next_seq () =
   Wal.writer_open ?sync ~magic ~path ~next_seq ()
 
 let append w r = Wal.append_payload w (payload_to_string r)
+let append_batch w rs = Wal.append_batch w (List.map payload_to_string rs)

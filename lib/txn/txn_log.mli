@@ -56,3 +56,10 @@ val writer_open : ?sync:bool -> path:string -> next_seq:int -> unit -> Wal.write
 (** Append one record; returns its sequence number.  Shares
     {!Tdp_store.Wal.append}'s failure atomicity (poisoning). *)
 val append : Wal.writer -> record -> int
+
+(** Append records as one batch — one write, one fsync
+    ({!Tdp_store.Wal.append_batch}); returns the first sequence number.
+    A commit logs its whole [begin]..[commit] bracket this way, so a
+    failed append leaves none of it behind.  The bytes are those of
+    {!append} called once per record. *)
+val append_batch : Wal.writer -> record list -> int

@@ -5,8 +5,10 @@
 # and diffs the responses against pinned transcripts — the wire protocol
 # is a compatibility surface, so any drift must be a conscious choice.
 # A two-client race checks the conflict path (prefix-matched: the
-# loser's message embeds version numbers), and a final SIGTERM with an
-# idle client connected checks the server exits 0 within 2 s.
+# loser's message embeds version numbers), a SIGTERM with an idle
+# client connected checks the server exits 0 within 2 s, and a final
+# kill -9 right after an acknowledged commit checks that a restarted
+# server still has it.
 #
 # Usage: scripts/check_protocol.sh   (run from the repository root)
 set -eu
@@ -27,14 +29,20 @@ trap cleanup EXIT INT TERM
 
 "$ODB" store init "$tmp/db" --schema examples/schemas/employee.odb >/dev/null
 
-"$ODB" serve "$tmp/db" --socket "$tmp/odb.sock" --no-sync >/dev/null &
-server_pid=$!
-i=0
-until [ -S "$tmp/odb.sock" ]; do
-  i=$((i + 1))
-  [ "$i" -gt 100 ] && { echo "check_protocol: server never came up" >&2; exit 1; }
-  sleep 0.1
-done
+# start_server [FLAG...] — serve $tmp/db on $tmp/odb.sock, wait for it
+start_server() {
+  rm -f "$tmp/odb.sock"
+  "$ODB" serve "$tmp/db" --socket "$tmp/odb.sock" "$@" >/dev/null &
+  server_pid=$!
+  i=0
+  until [ -S "$tmp/odb.sock" ]; do
+    i=$((i + 1))
+    [ "$i" -gt 100 ] && { echo "check_protocol: server never came up" >&2; exit 1; }
+    sleep 0.1
+  done
+}
+
+start_server --no-sync
 
 status=0
 transcript() {
@@ -177,6 +185,28 @@ else
   echo "check_protocol: SIGTERM with an idle client FAILED (exit $rc; 137 = still running after 2 s)" >&2
   status=1
 fi
+
+# -- 6: kill -9 after "ok committed" — a restart still has the commit -
+start_server
+got=$("$ODB" connect "$tmp/odb.sock" <<'EOF'
+begin
+set #1 name="durable"
+commit
+quit
+EOF
+)
+committed=$(printf '%s\n' "$got" | sed -n '3p')
+kill -9 "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=
+case "$committed" in
+  "ok committed "*) : ;;
+  *) echo "check_protocol: commit before kill -9 FAILED: $committed" >&2; status=1 ;;
+esac
+start_server
+printf 'get #1 name\nversion\nquit\n' >"$tmp/in.txt"
+printf 'ok "durable"\nok %s\nok bye\n' "${committed#ok committed }" >"$tmp/want.txt"
+transcript "commit survives kill -9 and restart"
 
 [ "$status" -eq 0 ] && echo "check_protocol: all transcripts match"
 exit "$status"
