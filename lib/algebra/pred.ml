@@ -104,15 +104,29 @@ let compare_values op (a : Tdp_store.Value.t) (b : Tdp_store.Value.t) =
       | Some x, Some y -> op_holds op (Float.compare x y)
       | _ -> false)
 
+(* The one per-object predicate walker.  Staged: [holds p] converts
+   every literal once and returns a test over attribute readers, so a
+   scan applies it per row without re-walking the literals. *)
+let holds p =
+  let rec go = function
+    | True -> fun _ -> true
+    | Not a ->
+        let f = go a in
+        fun get -> not (f get)
+    | And (a, b) ->
+        let fa = go a and fb = go b in
+        fun get -> fa get && fb get
+    | Or (a, b) ->
+        let fa = go a and fb = go b in
+        fun get -> fa get || fb get
+    | Cmp { attr; op; value } ->
+        let lit = Tdp_store.Value.of_literal value in
+        fun get -> compare_values op (get attr) lit
+  in
+  go p
+
 (* Evaluate a predicate against a stored object. *)
-let rec eval db oid = function
-  | True -> true
-  | Not p -> not (eval db oid p)
-  | And (a, b) -> eval db oid a && eval db oid b
-  | Or (a, b) -> eval db oid a || eval db oid b
-  | Cmp { attr; op; value } ->
-      let v = Tdp_store.Database.get_attr db oid attr in
-      compare_values op v (Tdp_store.Value.of_literal value)
+let eval db oid p = holds p (Tdp_store.Database.get_attr db oid)
 
 (* ---- vectorized scans ----------------------------------------------- *)
 

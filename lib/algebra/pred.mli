@@ -44,7 +44,14 @@ val compare_values : op -> Tdp_store.Value.t -> Tdp_store.Value.t -> bool
 
 val pp : t Fmt.t
 
-(** Evaluate against a stored object.
+(** [holds p] is the per-object test of [p]: [holds p get] reads each
+    compared attribute through [get] and applies {!compare_values},
+    short-circuiting [And]/[Or] left to right.  Staged: partially
+    applied once, it converts each literal once and can then run per
+    row.  Exceptions from [get] propagate. *)
+val holds : t -> (Attr_name.t -> Tdp_store.Value.t) -> bool
+
+(** Evaluate against a stored object ([holds] over [get_attr]).
     @raise Tdp_store.Database.Store_error on a missing attribute. *)
 val eval : Tdp_store.Database.t -> Tdp_store.Oid.t -> t -> bool
 

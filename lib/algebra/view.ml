@@ -172,7 +172,10 @@ let rec instances db expr =
       | Base _ -> assert false (* a Base always flattens *)
       | Project (e, _) -> instances db e
       | Select (e, pred) ->
-          List.filter (fun oid -> Pred.eval db oid pred) (instances db e)
+          let test = Pred.holds pred in
+          List.filter
+            (fun oid -> test (Tdp_store.Database.get_attr db oid))
+            (instances db e)
       | Generalize (a, b) ->
           List.sort_uniq Tdp_store.Oid.compare (instances db a @ instances db b)
       | Join _ ->

@@ -273,8 +273,9 @@ let rec row_attrs h (e : View.expr) : Attr_name.t list =
 
 (* Identity instances.  Join views have none (TDP054, the structured
    form of [View.instances]'s raise); everything else either takes the
-   backend's fast path ([View.instances] over a [Database]) or the
-   generic per-object evaluator below (the server's MVCC snapshots). *)
+   backend's one-pass path ([View.instances] over a [Database],
+   [Mvcc.instances] over a served snapshot) or the generic per-object
+   evaluator below. *)
 let instances t ?position expr =
   if View.has_join expr then
     fail ?file:t.file ?position "TDP054"
@@ -283,21 +284,13 @@ let instances t ?position expr =
     match t.ops.s_instances with
     | Some f -> f expr
     | None ->
-        let rec eval_pred oid (p : Pred.t) =
-          match p with
-          | Cmp { attr; op; value } ->
-              Pred.compare_values op (t.ops.s_get oid attr)
-                (Value.of_literal value)
-          | And (a, b) -> eval_pred oid a && eval_pred oid b
-          | Or (a, b) -> eval_pred oid a || eval_pred oid b
-          | Not a -> not (eval_pred oid a)
-          | True -> true
-        in
         let rec go (e : View.expr) =
           match e with
           | Base n -> t.ops.s_extent n
           | Project (e, _) -> go e
-          | Select (e, p) -> List.filter (fun oid -> eval_pred oid p) (go e)
+          | Select (e, p) ->
+              let test = Pred.holds p in
+              List.filter (fun oid -> test (t.ops.s_get oid)) (go e)
           | Generalize (a, b) -> List.sort_uniq Oid.compare (go a @ go b)
           | Join _ -> assert false (* checked above *)
         in

@@ -26,11 +26,13 @@ module Value = Tdp_store.Value
 module Infer = Tdp_infer.Infer
 module Diagnostic = Tdp_analysis.Diagnostic
 
-(** What a session needs from a store.  [s_instances], when given, is a
-    fast path for identity extents (e.g. {!View.instances} over a
-    {!Database}); without it the session evaluates view expressions
-    per-object through [s_extent]/[s_get] — how the server runs over
-    MVCC snapshots. *)
+(** What a session needs from a store.  [s_instances], when given,
+    computes identity extents in one pass over the backend:
+    {!View.instances} over a {!Database}, or the server's
+    snapshot fold ([Mvcc.instances] over the snapshot its [eval]
+    request pinned).  It must agree with the generic evaluator used
+    without it, which filters [s_extent] per object through [s_get]
+    with {!Tdp_algebra.Pred.holds}. *)
 type store_ops = {
   s_schema : unit -> Schema.t;
   s_extent : Type_name.t -> Oid.t list;

@@ -5,6 +5,9 @@ module Database = Tdp_store.Database
 module Dump = Tdp_store.Dump
 module Wal = Tdp_store.Wal
 module Obs = Tdp_obs
+module View = Tdp_algebra.View
+module Pred = Tdp_algebra.Pred
+module String_map = Map.Make (String)
 
 (* Snapshot-isolation MVCC over immutable database versions.
 
@@ -12,8 +15,8 @@ module Obs = Tdp_obs
    object records plus the schema and its compiled index.  Committing
    never mutates a snapshot — it builds a new one sharing almost all
    structure with its parent (O(ops · log n)), then publishes it as the
-   branch head under the store lock.  Readers therefore need no locks
-   at all once they hold a snapshot: they see exactly the version they
+   branch head with one atomic store.  Readers need no lock, neither to
+   fetch a head nor to read it: they see exactly the version they
    started from, which is the whole of snapshot isolation.
 
    Writes go through transactions.  A transaction pins its branch head
@@ -36,9 +39,15 @@ module Obs = Tdp_obs
    index is built with [Schema_index.compile] (no shared intern table)
    and reader paths use only [Schema_index.subtype] and the pure
    [Hierarchy] attribute walks — never the lazily-memoized
-   [ancestor_set]/[cpl] entry points.  [Obs.Metrics] is not
-   thread-safe, so every metric below is recorded while holding the
-   store lock. *)
+   [ancestor_set]/[cpl] entry points.  Publication is atomic: the
+   branch table is one immutable [String_map] behind an [Atomic.t]
+   (replaced whole, under the lock, by a fork), each branch head is an
+   [Atomic.t] (set by commit and replay under the lock), and [closed]
+   is atomic, so [head] and [branches] are plain loads that take no
+   lock.  Everything else a writer touches — versions, the txid
+   allocator, write-set history, the log writer — stays under the store
+   lock.  [Obs.Metrics] is not thread-safe, so every metric below is
+   recorded while holding the store lock. *)
 
 let fail fmt = Fmt.kstr (fun s -> raise (Database.Store_error s)) fmt
 let main_branch = "main"
@@ -93,12 +102,46 @@ let get_attr s oid attr =
         (Type_name.to_string st.st_ty)
         (Attr_name.to_string attr)
 
-(* Deep extent in OID order ([Oid.Map.fold] visits keys in order). *)
-let extent s ty =
+(* The deep extent of [ty] filtered by [keep], in OID order
+   ([Oid.Map.fold] visits keys in order): one fold over the snapshot
+   that conses only the OIDs it returns. *)
+let filter_extent s ty keep =
   Oid.Map.fold
-    (fun oid st acc -> if Schema_index.subtype s.index st.st_ty ty then oid :: acc else acc)
+    (fun oid st acc ->
+      if Schema_index.subtype s.index st.st_ty ty && keep oid st then oid :: acc
+      else acc)
     s.objs []
   |> List.rev
+
+let extent s ty = filter_extent s ty (fun _ _ -> true)
+
+(* Identity instances of a view over the snapshot, as [View.instances]
+   over [to_database s] computes them.  Selection predicates push down
+   to the [Base] leaves — filtering distributes over a generalization's
+   union — and run inside that leaf's one fold on the stored slots,
+   inner predicates first like the nested filters they replace. *)
+let instances s expr =
+  let rec go preds (e : View.expr) =
+    match e with
+    | Base n -> (
+        match preds with
+        | [] -> extent s n
+        | p :: rest ->
+            let test = Pred.holds (List.fold_left (fun a b -> Pred.And (a, b)) p rest) in
+            filter_extent s n (fun oid st ->
+                test (fun attr ->
+                    match Attr_name.Map.find attr st.st_slots with
+                    | v -> v
+                    | exception Not_found -> get_attr s oid attr)))
+    | Project (e, _) -> go preds e
+    | Select (e, p) -> go (p :: preds) e
+    | Generalize (a, b) -> List.sort_uniq Oid.compare (go preds a @ go preds b)
+    | Join _ ->
+        Error.raise_
+          (Invariant_violation
+             "join views have no identity instances; use Join.materialize")
+  in
+  go [] expr
 
 let objects s =
   Oid.Map.fold (fun oid st acc -> (oid, st.st_ty, st.st_slots) :: acc) s.objs []
@@ -255,8 +298,9 @@ let writes_conflict a b =
    aborts conservatively. *)
 let recent_limit = 1024
 
+(* [head] is read lock-free; [recent] and [floor] only under the lock. *)
 type branch = {
-  mutable head : snapshot;
+  head : snapshot Atomic.t;
   mutable recent : (int * writes) list;  (* newest first *)
   mutable floor : int;  (* write sets of versions <= floor were discarded *)
 }
@@ -265,38 +309,43 @@ type t = {
   lock : Mutex.t;
   mutable version : int;  (* last committed version, across all branches *)
   mutable next_txid : int;
-  branches : (string, branch) Hashtbl.t;
+  branches : branch String_map.t Atomic.t;  (* replaced whole, under the lock *)
   mutable writer : Wal.writer option;
   load_schema : (string -> Schema.t) option;
   mutable dir : string option;
   mutable wal_seq : int;  (* last wal.log record folded into the base state *)
   sync : bool;
-  mutable closed : bool;
+  closed : bool Atomic.t;
 }
 
 let locked t f = Mutex.protect t.lock f
 
 let check_live t =
-  if t.closed then fail "store is closed"
+  if Atomic.get t.closed then fail "store is closed"
 
 let find_branch t name =
-  match Hashtbl.find_opt t.branches name with
+  match String_map.find_opt name (Atomic.get t.branches) with
   | Some br -> br
   | None -> fail "unknown branch %s" name
 
-let make ?load_schema ?(sync = true) base =
-  let branches = Hashtbl.create 8 in
-  Hashtbl.replace branches main_branch { head = base; recent = []; floor = base.version };
+let new_branch (head : snapshot) =
+  { head = Atomic.make head; recent = []; floor = head.version }
+
+(* Add a branch; the caller holds the lock, the only writer of the table. *)
+let add_branch t name head =
+  Atomic.set t.branches (String_map.add name (new_branch head) (Atomic.get t.branches))
+
+let make ?load_schema ?(sync = true) (base : snapshot) =
   { lock = Mutex.create ();
     version = base.version;
     next_txid = 1;
-    branches;
+    branches = Atomic.make (String_map.singleton main_branch (new_branch base));
     writer = None;
     load_schema;
     dir = None;
     wal_seq = 0;
     sync;
-    closed = false
+    closed = Atomic.make false
   }
 
 let create ?load_schema schema = make ?load_schema (empty_snapshot schema)
@@ -348,15 +397,16 @@ let dump s = Dump.to_string (to_database s)
 
 (* ---- store reads --------------------------------------------------- *)
 
+(* Lock-free: two atomic loads, so a reader never waits behind a commit
+   holding the lock through its fsync. *)
 let head t ~branch =
-  locked t (fun () ->
-      check_live t;
-      (find_branch t branch).head)
+  check_live t;
+  Atomic.get (find_branch t branch).head
 
 let branches t =
-  locked t (fun () ->
-      Hashtbl.fold (fun name br acc -> (name, br.head.version) :: acc) t.branches []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+  List.map
+    (fun (name, br) -> (name, (Atomic.get br.head).version))
+    (String_map.bindings (Atomic.get t.branches))
 
 let current_version t = locked t (fun () -> t.version)
 
@@ -382,15 +432,15 @@ let commit_error_message = function Conflict m -> m | Invalid m -> m
 let begin_ ?(branch = main_branch) t =
   locked t (fun () ->
       check_live t;
-      let br = find_branch t branch in
+      let head = Atomic.get (find_branch t branch).head in
       let txid = t.next_txid in
       t.next_txid <- txid + 1;
       Obs.Metrics.incr m_begin;
       { store = t;
         txid;
         txn_branch = branch;
-        base = br.head;
-        overlay = br.head;
+        base = head;
+        overlay = head;
         ops = [];
         writes = no_writes;
         state = Open
@@ -454,7 +504,7 @@ let abort ?(reason = "aborted by client") txn =
           log_abort txn.store txn reason)
 
 let first_writer_wins br txn =
-  if txn.base.version = br.head.version then None
+  if txn.base.version = (Atomic.get br.head).version then None
   else if txn.base.version < br.floor then
     Some
       (Fmt.str "base version %d predates the retained write-set history (floor %d)"
@@ -490,7 +540,7 @@ let trim_recent br =
 let install t br writes snap =
   let v = t.version + 1 in
   t.version <- v;
-  br.head <- { snap with version = v };
+  Atomic.set br.head { snap with version = v };
   br.recent <- (v, writes) :: br.recent;
   trim_recent br;
   v
@@ -526,7 +576,7 @@ let commit txn =
                   match
                     List.fold_left
                       (fun snap op -> apply ?load_schema:t.load_schema snap op)
-                      br.head ops
+                      (Atomic.get br.head) ops
                   with
                   | exception Database.Store_error msg ->
                       let reason = "no longer applies to the branch head: " ^ msg in
@@ -630,7 +680,7 @@ let replay_record r (e : Txn_log.record Wal.framed) =
   match e.Wal.fvalue with
   | Txn_log.Begin { txid; branch } ->
       if Hashtbl.mem r.brackets txid then stop "duplicate begin for txid %d" txid
-      else if not (locked t (fun () -> Hashtbl.mem t.branches branch)) then
+      else if not (String_map.mem branch (Atomic.get t.branches)) then
         stop "begin on unknown branch %s" branch
       else begin
         Hashtbl.replace r.brackets txid { b_branch = branch; b_ops = []; b_seq = e.Wal.fseq };
@@ -647,13 +697,13 @@ let replay_record r (e : Txn_log.record Wal.framed) =
       Ok ()
   | Txn_log.Fork { branch; from_ } ->
       locked t (fun () ->
-          match Hashtbl.find_opt t.branches from_ with
+          let table = Atomic.get t.branches in
+          match String_map.find_opt from_ table with
           | None -> stop "fork from unknown branch %s" from_
-          | Some _ when Hashtbl.mem t.branches branch ->
+          | Some _ when String_map.mem branch table ->
               stop "fork of existing branch %s" branch
           | Some src ->
-              Hashtbl.replace t.branches branch
-                { head = src.head; recent = []; floor = src.head.version };
+              add_branch t branch (Atomic.get src.head);
               Ok ())
   | Txn_log.Commit { txid } -> (
       match Hashtbl.find_opt r.brackets txid with
@@ -675,14 +725,14 @@ let fork t ~from_ ~branch =
   locked t (fun () ->
       check_live t;
       if not (Txn_log.valid_branch_name branch) then fail "invalid branch name %S" branch;
-      if Hashtbl.mem t.branches branch then fail "branch %s already exists" branch;
-      let src = find_branch t from_ in
+      if String_map.mem branch (Atomic.get t.branches) then
+        fail "branch %s already exists" branch;
+      let src = Atomic.get (find_branch t from_).head in
       (match t.writer with
       | None -> ()
       | Some w -> ignore (Txn_log.append w (Txn_log.Fork { branch; from_ })));
-      Hashtbl.replace t.branches branch
-        { head = src.head; recent = []; floor = src.head.version };
-      src.head.version)
+      add_branch t branch src;
+      src.version)
 
 (* ---- recovery ------------------------------------------------------ *)
 
@@ -785,10 +835,11 @@ let checkpoint t =
       match t.dir with
       | None -> fail "checkpoint requires a directory-backed store"
       | Some dir ->
-          if Hashtbl.length t.branches > 1 then
+          let table = Atomic.get t.branches in
+          if String_map.cardinal table > 1 then
             fail "checkpoint requires a single branch (%d exist)"
-              (Hashtbl.length t.branches);
-          let br = Hashtbl.find t.branches main_branch in
+              (String_map.cardinal table);
+          let head = Atomic.get (String_map.find main_branch table).head in
           let txn_seq =
             match t.writer with Some w -> Wal.writer_seq w - 1 | None -> 0
           in
@@ -798,7 +849,7 @@ let checkpoint t =
              recovers to exactly this state. *)
           Dump.save ~wal_seq:t.wal_seq ~txn_seq
             ~path:(Filename.concat dir snapshot_file)
-            (to_database br.head);
+            (to_database head);
           let wal_path = Filename.concat dir wal_file in
           if Sys.file_exists wal_path then
             Wal.close
@@ -815,8 +866,8 @@ let checkpoint t =
 
 let close t =
   locked t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
+      if not (Atomic.get t.closed) then begin
+        Atomic.set t.closed true;
         (match t.writer with None -> () | Some w -> Wal.close w);
         t.writer <- None
       end)

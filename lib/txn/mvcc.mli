@@ -3,10 +3,10 @@
     A {!snapshot} is a persistent value — an immutable object map plus
     the schema and its compiled index.  Committing never mutates a
     snapshot: it builds a successor sharing almost all structure with
-    its parent and publishes it as the branch head under the store
-    lock.  Readers holding a snapshot therefore need no locks at all
-    and see exactly the version they started from — snapshot isolation
-    by construction.
+    its parent and publishes it as the branch head with one atomic
+    store.  Readers need no lock to fetch a head ({!head}) or to read
+    it, and see exactly the version they started from — snapshot
+    isolation by construction.
 
     Writes go through transactions ({!begin_} … {!commit}).  A
     transaction pins its branch head as base, stages validated ops
@@ -22,9 +22,9 @@
     torn state.
 
     Domain-safety: reader domains may call every snapshot accessor
-    below concurrently and lock-free; store operations ({!head},
-    {!begin_}, {!commit}, {!fork}, {!checkpoint}, …) serialize on the
-    internal store lock (the one-writer discipline). *)
+    below, {!head} and {!branches} concurrently and lock-free; the other
+    store operations ({!begin_}, {!commit}, {!fork}, {!checkpoint}, …)
+    serialize on the internal store lock (the one-writer discipline). *)
 
 open Tdp_core
 module Oid = Tdp_store.Oid
@@ -60,6 +60,17 @@ val get_attr : snapshot -> Oid.t -> Attr_name.t -> Value.t
 (** Deep extent (all objects of the type or a subtype), in OID order. *)
 val extent : snapshot -> Type_name.t -> Oid.t list
 
+(** Identity instances of a view expression over the snapshot, equal
+    (same OIDs, same order) to {!Tdp_algebra.View.instances} over
+    [to_database s].  Selections filter inside one fold per [Base]
+    leaf, on the stored slots, consing only the OIDs returned;
+    projections pass through; a generalization is the sorted union of
+    its operands.
+    @raise Error.E on a [Join] view (no identity instances), and
+    [Database.Store_error] when a predicate names an attribute an
+    instance lacks. *)
+val instances : snapshot -> Tdp_algebra.View.expr -> Oid.t list
+
 val objects : snapshot -> (Oid.t * Type_name.t * Value.t Attr_name.Map.t) list
 
 (** Materialize as a mutable {!Database} (the bridge to {!Dump}). *)
@@ -82,8 +93,10 @@ val create : ?load_schema:(string -> Schema.t) -> Schema.t -> t
     recovered snapshot. *)
 val of_database : ?load_schema:(string -> Schema.t) -> Database.t -> t
 
-(** Head snapshot of [branch].
-    @raise Database.Store_error on an unknown branch. *)
+(** Head snapshot of [branch]: an atomic load, no lock — a reader never
+    waits behind a commit.
+    @raise Database.Store_error on an unknown branch or a closed
+    store. *)
 val head : t -> branch:string -> snapshot
 
 (** All branches with their head versions, sorted by name. *)

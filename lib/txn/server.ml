@@ -25,9 +25,11 @@ module Obs = Tdp_obs
    Sessions are stateful: a current branch (default main) and at most
    one open transaction.  Reads inside a transaction see its private
    overlay — the begin-time snapshot plus the session's own staged
-   writes; reads outside see the branch head at the moment of the read.
-   Either way a read never observes a partial commit: heads only ever
-   advance to fully published versions. *)
+   writes; reads outside see the branch head at the start of the
+   request, fetched once (a lock-free load), so every row one request
+   reads — a whole [eval] line included — comes from one committed
+   version.  Either way a read never observes a partial commit: heads
+   only ever advance to fully published versions. *)
 
 let proto_version = 1
 
@@ -149,16 +151,35 @@ type session = {
       (* the statement-language session behind the [eval] verb, built
          lazily on first use and kept for the connection's lifetime
          (its catalog and [let] bindings are session state) *)
+  mutable pinned : Mvcc.snapshot option;
+      (* the head an [eval] outside a transaction reads, fixed at the
+         start of the request *)
 }
 
 let session ?(mode = Read_write) ~store () =
-  { store; smode = mode; sbranch = Mvcc.main_branch; txn = None; lang = None }
+  { store;
+    smode = mode;
+    sbranch = Mvcc.main_branch;
+    txn = None;
+    lang = None;
+    pinned = None
+  }
 
-(* The overlay inside a transaction, the branch head outside. *)
+(* The overlay inside a transaction (only this session writes it), the
+   pinned or current branch head outside. *)
 let read_snapshot s =
   match s.txn with
   | Some t when Mvcc.state t = Mvcc.Open -> Mvcc.view t
-  | _ -> Mvcc.head s.store ~branch:s.sbranch
+  | _ -> (
+      match s.pinned with
+      | Some snap -> snap
+      | None -> Mvcc.head s.store ~branch:s.sbranch)
+
+(* Run [f] with the session's reads fixed to one snapshot: outside a
+   transaction, the head as of now. *)
+let with_pinned s f =
+  s.pinned <- Some (read_snapshot s);
+  Fun.protect ~finally:(fun () -> s.pinned <- None) f
 
 let open_txn s =
   match s.txn with
@@ -174,8 +195,9 @@ let abort_open s reason =
 
 (* [eval] runs statements of the interactive data language
    (Tdp_lang.Stmt) against this session's view of the store: reads see
-   the transaction overlay when one is open and the branch head
-   otherwise (exactly like [get]/[extent]); writes stage through the
+   the transaction overlay when one is open and otherwise the branch
+   head pinned at the start of the request, so every statement of one
+   [eval] line reads the same committed version; writes stage through the
    open transaction and fail with a structured TDP055 diagnostic when
    none is open.  A method call runs on the read snapshot itself: each
    write it makes validates into a call-local successor snapshot, so
@@ -216,7 +238,7 @@ let lang_ops s : Tdp_lang.Session.store_ops =
     s_set = (fun oid attr v -> Mvcc.set_attr (open_txn s) oid attr v);
     s_del = (fun oid policy -> Mvcc.delete (open_txn s) ~policy oid);
     s_call = (fun gf args -> eval_call s gf args);
-    s_instances = None
+    s_instances = Some (fun expr -> Mvcc.instances (read_snapshot s) expr)
   }
 
 let lang_session s =
@@ -336,7 +358,9 @@ let respond s (req : request) =
       (* same outcomes and rendering as [odb repl]; statement-level
          failures are part of the payload (the session survives), and
          the whole response is [err] iff any statement failed *)
-      let outcomes = Tdp_lang.Session.eval_string (lang_session s) source in
+      let outcomes =
+        with_pinned s (fun () -> Tdp_lang.Session.eval_string (lang_session s) source)
+      in
       let text =
         String.concat "\n" (List.map Tdp_lang.Session.render outcomes)
       in

@@ -4,6 +4,8 @@
 # Starts a server on a throwaway store, drives it through `odb connect`,
 # and diffs the responses against pinned transcripts — the wire protocol
 # is a compatibility surface, so any drift must be a conscious choice.
+# One transcript pins served `eval` output (selections with and/or/not,
+# projections, method calls) outside and inside a transaction.
 # A two-client race checks the conflict path (prefix-matched: the
 # loser's message embeds version numbers), a SIGTERM with an idle
 # client connected checks the server exits 0 within 2 s, and a final
@@ -132,7 +134,45 @@ ok bye
 EOF
 transcript "branch fork and isolation"
 
-# -- 4: two clients race one slot — exactly one wins ------------------
+# -- 4: served eval — selections, a projection and calls, read from one
+#    snapshot outside a transaction and from the overlay inside one -----
+cat >"$tmp/in.txt" <<'EOF'
+begin
+new Employee ssn=2 name="bob" pay_rate=30.0 hrs_worked=10.0
+new Person ssn=3 name="cy"
+commit
+eval ":extent select Employee where ssn < 3 and not (pay_rate > 20.0) or ssn == 2"
+eval ":extent project (select Person where ssn != 1 or name == \"alice\") on [ssn, name]"
+eval "call income on select Employee where ssn == 2;"
+begin
+set #2 pay_rate=40.0
+eval ":extent select Employee where (pay_rate >= 40.0 or ssn == 1) and not (name == \"x\")"
+eval "set #2 { hrs_worked = 5.0 }; call income on select Employee where ssn == 2;"
+eval ":extent project (select Person where not (ssn == 2)) on [name]"
+abort
+eval "call income on select Employee where ssn == 2;"
+quit
+EOF
+cat >"$tmp/want.txt" <<'EOF'
+ok txn 4 base 1
+ok #2
+ok #3
+ok committed 3
+ok "extent: 2\n#1 {pay_rate = 12.5; hrs_worked = null; ssn = 1; name = \"alice\"; date_of_birth = null}\n#2 {pay_rate = 30; hrs_worked = 10; ssn = 2; name = \"bob\"; date_of_birth = null}"
+ok "extent: 3\n#1 {ssn = 1; name = \"alice\"}\n#2 {ssn = 2; name = \"bob\"}\n#3 {ssn = 3; name = \"cy\"}"
+ok "income(#2) = 300"
+ok txn 5 base 3
+ok
+ok "extent: 2\n#1 {pay_rate = 12.5; hrs_worked = null; ssn = 1; name = \"alice\"; date_of_birth = null}\n#2 {pay_rate = 40; hrs_worked = 10; ssn = 2; name = \"bob\"; date_of_birth = null}"
+ok "updated #2 (hrs_worked)\nincome(#2) = 200"
+ok "extent: 2\n#1 {name = \"alice\"}\n#3 {name = \"cy\"}"
+ok aborted
+ok "income(#2) = 300"
+ok bye
+EOF
+transcript "served eval"
+
+# -- 5: two clients race one slot — exactly one wins ------------------
 mkfifo "$tmp/a.in"
 "$ODB" connect "$tmp/odb.sock" <"$tmp/a.in" >"$tmp/a.out" &
 a_pid=$!
@@ -161,7 +201,7 @@ case "$a_commit" in
   *) echo "check_protocol: race loser FAILED: $a_commit" >&2; status=1 ;;
 esac
 
-# -- 5: SIGTERM with an idle client connected — exit 0 within 2 s -----
+# -- 6: SIGTERM with an idle client connected — exit 0 within 2 s -----
 mkfifo "$tmp/idle.in"
 "$ODB" connect "$tmp/odb.sock" <"$tmp/idle.in" >/dev/null &
 a_pid=$!
@@ -186,7 +226,7 @@ else
   status=1
 fi
 
-# -- 6: kill -9 after "ok committed" — a restart still has the commit -
+# -- 7: kill -9 after "ok committed" — a restart still has the commit -
 start_server
 got=$("$ODB" connect "$tmp/odb.sock" <<'EOF'
 begin

@@ -307,8 +307,9 @@ let prop_roundtrip =
 
 (* ---- three-frontend differential ------------------------------------ *)
 
-(* One statement per line so every frontend sees identical parse units
-   (the repl buffers per line; the server gets one [eval] per line). *)
+(* Each line is one parse unit in every frontend (the repl buffers per
+   line; the server gets one [eval] per line), so a line may carry
+   several statements. *)
 let diff_stmts =
   [
     "define view EmpPay = project Employee on [ssn, date_of_birth, pay_rate];";
@@ -328,6 +329,13 @@ let diff_stmts =
     "del #2;";
     ":extent project Employee on [ssn, pay_rate]";
     ":views";
+    "new Person { ssn = 3; name = \"cy\"; date_of_birth = year(1980) };";
+    ":extent select Employee where not (pay_rate < 60.0) or ssn == 3";
+    ":extent select generalize EmpPay with Person where ssn != 1";
+    "call income on select Employee where ssn == 1 or not (pay_rate > 0.0);";
+    (* several statements on one line: one parse unit, one [eval] *)
+    "let both = generalize Cheap with Person; both; \
+     select both where ssn >= 1 and not (ssn == 3);";
     ":extent Payroll" (* a failing statement renders identically too *);
   ]
 
