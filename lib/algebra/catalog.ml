@@ -152,6 +152,8 @@ let drop_exn t ~name =
       let schema =
         List.fold_left undo_step t.schema (List.rev entry.steps)
       in
+      (* Free when the last undo step was a view drop: [Unfactor]
+         records the schema it validated as checked. *)
       Schema.validate_exn schema;
       { schema;
         entries = List.filter (fun e -> not (String.equal e.name name)) t.entries

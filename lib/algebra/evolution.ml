@@ -136,8 +136,7 @@ let apply_change_exn schema change =
                 | Some _ | None -> schema)
               schema (Schema.all_methods schema))
   in
-  Schema.validate_exn schema;
-  Typing.check_all_methods schema;
+  Typing.check_schema_exn schema;
   schema
 
 (* Evolve the base schema under the catalog's views: unwind, change,

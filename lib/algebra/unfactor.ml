@@ -86,15 +86,15 @@ let drop_view_exn schema ~view =
   in
   let h = List.fold_left (fun h (hat, _) -> Hierarchy.remove h hat) h pairs in
   (* Rewrite methods back. *)
-  let schema = Schema.with_hierarchy schema h in
+  let restored = Schema.with_hierarchy schema h in
   let rewrite_vt vt =
     match Value_type.as_named vt with
     | Some n when Type_name.Set.mem n victim_set -> Value_type.named (back n)
     | Some _ | None -> vt
   in
-  let schema =
+  let restored =
     List.fold_left
-      (fun schema m ->
+      (fun restored m ->
         let s = Method_def.signature m in
         let s' = Signature.map_param_types back s in
         let s' = { s' with result = Option.map rewrite_vt s'.result } in
@@ -103,14 +103,15 @@ let drop_view_exn schema ~view =
           | (Reader _ | Writer _) as k -> k
           | General body -> General (Body.map_local_types (fun _ -> rewrite_vt) body)
         in
-        if Signature.equal s s' && kind' = Method_def.kind m then schema
+        if Signature.equal s s' && kind' = Method_def.kind m then restored
         else
-          Schema.update_method schema (Method_def.key m) (fun m ->
+          Schema.update_method restored (Method_def.key m) (fun m ->
               Method_def.with_kind (Method_def.with_signature m s') kind'))
-      schema (Schema.all_methods schema)
+      restored (Schema.all_methods restored)
   in
-  Schema.validate_exn schema;
-  Typing.check_all_methods schema;
-  schema
+  (* Re-checks only what the drop changed when [schema] is known
+     checked; otherwise validates and types all of [restored]. *)
+  Invariants.recheck_exn ~before:schema ~after:restored;
+  restored
 
 let drop_view schema ~view = Error.guard (fun () -> drop_view_exn schema ~view)

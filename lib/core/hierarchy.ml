@@ -1,27 +1,39 @@
 type t = {
   defs : Type_def.t Type_name.Map.t;
   generation : int;
-  (* Name-ordered views of [defs], forced at most once per hierarchy
-     value.  Hierarchies are immutable, so the lists can never go
-     stale; the lazies make functional updates O(log n) instead of
-     paying the O(n) bindings walk eagerly on every [add]. *)
-  types_memo : Type_def.t list Lazy.t;
-  names_memo : Type_name.t list Lazy.t;
+  (* Name-ordered views of [defs], computed on first use.  Hierarchies
+     are immutable, so the lists can never go stale; computing them on
+     demand keeps functional updates O(log n) instead of paying the
+     O(n) bindings walk eagerly on every [add].  The cells are atomics
+     rather than lazies because a hierarchy is shared by sessions on
+     several domains, and forcing one lazy from two domains at once
+     raises [Lazy.Undefined]; a racing domain here merely computes the
+     same list twice. *)
+  types_memo : Type_def.t list option Atomic.t;
+  names_memo : Type_name.t list option Atomic.t;
 }
 
 (* Every constructed hierarchy value gets a fresh stamp: two values
    with the same generation are the same value (modulo the shared
    [empty]), so derived structures such as [Schema_index] can detect
-   staleness with one integer comparison. *)
-let gen_counter = ref 0
+   staleness with one integer comparison.  Atomic, so stamps stay
+   unique when several domains build hierarchies at once. *)
+let gen_counter = Atomic.make 0
 
 let make defs =
-  incr gen_counter;
   { defs;
-    generation = !gen_counter;
-    types_memo = lazy (List.map snd (Type_name.Map.bindings defs));
-    names_memo = lazy (List.map fst (Type_name.Map.bindings defs))
+    generation = Atomic.fetch_and_add gen_counter 1 + 1;
+    types_memo = Atomic.make None;
+    names_memo = Atomic.make None
   }
+
+let memo cell compute =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Atomic.set cell (Some v);
+      v
 
 let empty = make Type_name.Map.empty
 let generation h = h.generation
@@ -42,8 +54,11 @@ let update h n f =
   let def = find h n in
   make (Type_name.Map.add n (f def) h.defs)
 
-let types h = Lazy.force h.types_memo
-let type_names h = Lazy.force h.names_memo
+let types h =
+  memo h.types_memo (fun () -> List.map snd (Type_name.Map.bindings h.defs))
+
+let type_names h =
+  memo h.names_memo (fun () -> List.map fst (Type_name.Map.bindings h.defs))
 let cardinal h = Type_name.Map.cardinal h.defs
 let fold f h init = Type_name.Map.fold (fun _ d acc -> f d acc) h.defs init
 

@@ -45,8 +45,7 @@ let missing_formal_types schema index ~source ~surrogates ~applicable =
 
 let project_exn_uninstrumented ?(check = true) schema ~view ?derived_name
     ~source ~projection () =
-  Schema.validate_exn schema;
-  Typing.check_all_methods schema;
+  Typing.check_schema_exn schema;
   let analysis = Applicability.analyze_exn schema ~source ~projection in
   let fs =
     Factor_state.run_exn (Schema.hierarchy schema) ~view ?derived_name ~source
@@ -108,11 +107,9 @@ let project_exn_uninstrumented ?(check = true) schema ~view ?derived_name
       rewrites
     }
   in
-  if check then begin
+  if check then
     Invariants.check_exn ~before:schema ~after ~derived:fs.derived ~source
       ~projection ~analysis;
-    Typing.check_all_methods after
-  end;
   outcome
 
 let project_exn ?check schema ~view ?derived_name ~source ~projection () =

@@ -12,7 +12,12 @@
     + {!Factor_methods.run_exn} — relocate applicable methods onto
       surrogate signatures and re-type their bodies (Sections 6.1–6.3);
     + {!Invariants.check_exn} — verify the paper's preservation claims
-      (disable with [~check:false], e.g. inside benchmarks). *)
+      and the typing of every method body, re-checking only what the
+      projection changed (disable with [~check:false], e.g. inside
+      benchmarks).
+
+    The input schema is validated and type-checked first, once per
+    schema value ({!Typing.check_schema_exn}). *)
 
 type outcome = {
   before : Schema.t;  (** the schema as given *)

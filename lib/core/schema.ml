@@ -4,20 +4,33 @@ type t = {
   hierarchy : Hierarchy.t;
   gfs : Generic_function.t SMap.t;
   generation : int;
+  checked : bool Atomic.t;
 }
 
 (* Like [Hierarchy.generation], but covering the whole schema: method
    and generic-function updates change dispatch outcomes without
    touching the hierarchy, so dispatchers stamp against this counter
-   rather than the hierarchy's. *)
-let gen_counter = ref 0
+   rather than the hierarchy's.  Atomic, because sessions on several
+   domains derive schemas at once and a stamp must stay unique. *)
+let gen_counter = Atomic.make 0
 
+(* [checked] records, on the value itself, that [validate_exn] and
+   [Typing.check_all_methods] passed.  Both are pure functions of this
+   immutable value, so the verdict never goes stale; every update below
+   builds a new value whose flag starts false.  Being per value rather
+   than a process-wide table, it needs no lock: two domains that check
+   one value concurrently both compute the same verdict. *)
 let make hierarchy gfs =
-  incr gen_counter;
-  { hierarchy; gfs; generation = !gen_counter }
+  { hierarchy;
+    gfs;
+    generation = Atomic.fetch_and_add gen_counter 1 + 1;
+    checked = Atomic.make false
+  }
 
 let empty = make Hierarchy.empty SMap.empty
 let generation t = t.generation
+let checked t = Atomic.get t.checked
+let mark_checked t = Atomic.set t.checked true
 let hierarchy t = t.hierarchy
 let with_hierarchy t hierarchy = make hierarchy t.gfs
 let map_hierarchy t f = make (f t.hierarchy) t.gfs
@@ -125,38 +138,37 @@ let accessors_of_attr t attr =
       | None -> false)
     (all_methods t)
 
-let validate_exn t =
-  Hierarchy.validate_exn t.hierarchy;
+let validate_method_exn t m =
+  let s = Method_def.signature m in
   List.iter
-    (fun g ->
-      List.iter
-        (fun m ->
-          let s = Method_def.signature m in
-          List.iter
-            (fun (_, ty) -> ignore (Hierarchy.find t.hierarchy ty))
-            (Signature.params s);
-          (match Method_def.accessed_attr m with
-          | None -> ()
-          | Some attr -> (
-              match Signature.param_types s with
-              | [ obj_ty ] ->
-                  if not (Hierarchy.has_attribute t.hierarchy obj_ty attr) then
-                    Error.raise_
-                      (Accessor_attr_not_inherited
-                         { meth = Method_def.id m; attr })
-              | _ ->
-                  Error.raise_
-                    (Arity_mismatch
-                       { gf = Method_def.gf m; expected = 1; got = Signature.arity s })));
-          if Method_def.arity m <> Generic_function.arity g then
+    (fun (_, ty) -> ignore (Hierarchy.find t.hierarchy ty))
+    (Signature.params s);
+  (match Method_def.accessed_attr m with
+  | None -> ()
+  | Some attr -> (
+      match Signature.param_types s with
+      | [ obj_ty ] ->
+          if not (Hierarchy.has_attribute t.hierarchy obj_ty attr) then
             Error.raise_
-              (Arity_mismatch
-                 { gf = Generic_function.name g;
-                   expected = Generic_function.arity g;
-                   got = Method_def.arity m
-                 }))
-        (Generic_function.methods g))
-    (gfs t)
+              (Accessor_attr_not_inherited { meth = Method_def.id m; attr })
+      | _ ->
+          Error.raise_
+            (Arity_mismatch
+               { gf = Method_def.gf m; expected = 1; got = Signature.arity s })));
+  let g = find_gf t (Method_def.gf m) in
+  if Method_def.arity m <> Generic_function.arity g then
+    Error.raise_
+      (Arity_mismatch
+         { gf = Generic_function.name g;
+           expected = Generic_function.arity g;
+           got = Method_def.arity m
+         })
+
+let validate_exn t =
+  if not (checked t) then begin
+    Hierarchy.validate_exn t.hierarchy;
+    List.iter (validate_method_exn t) (all_methods t)
+  end
 
 let validate t = Error.guard (fun () -> validate_exn t)
 

@@ -19,6 +19,17 @@ val empty : t
     detect that they were built for an evolved-away schema. *)
 val generation : t -> int
 
+(** Whether this value is recorded as having passed {!validate_exn} and
+    [Typing.check_all_methods].  The record lives on the value, so a
+    schema derived from it by any update starts unchecked. *)
+val checked : t -> bool
+
+(** Record that {!validate_exn} and [Typing.check_all_methods] pass on
+    this value.  Only the checkers call this: [Typing.check_schema_exn]
+    after a full check, and [Invariants] after a check proven to give
+    the full verdict.  A failed check records nothing. *)
+val mark_checked : t -> unit
+
 val hierarchy : t -> Hierarchy.t
 val with_hierarchy : t -> Hierarchy.t -> t
 val map_hierarchy : t -> (Hierarchy.t -> Hierarchy.t) -> t
@@ -86,8 +97,15 @@ val accessors_of_attr : t -> Attr_name.t -> Method_def.t list
 (** Structural validation: hierarchy well-formedness, signature types
     exist, accessor attributes are available at their argument type,
     method arities agree with their generic function.
-    Method-body checks live in {!Typing.check_method}. *)
+    Method-body checks live in {!Typing.check_method}.  Returns at once
+    for a value already recorded {!checked}. *)
 val validate_exn : t -> unit
+
+(** The per-method part of {!validate_exn}: the signature's types
+    exist, an accessor's attribute is available at its argument type,
+    and the arity agrees with the generic function's.
+    @raise Error.E on the first violation. *)
+val validate_method_exn : t -> Method_def.t -> unit
 
 val validate : t -> (unit, Error.t) result
 val pp : t Fmt.t

@@ -122,7 +122,11 @@ let check_method schema m =
 let check_all_methods schema =
   List.iter (check_method schema) (Schema.all_methods schema)
 
-let check_all schema =
-  Error.guard (fun () ->
-      Schema.validate_exn schema;
-      check_all_methods schema)
+let check_schema_exn schema =
+  if not (Schema.checked schema) then begin
+    Schema.validate_exn schema;
+    check_all_methods schema;
+    Schema.mark_checked schema
+  end
+
+let check_all schema = Error.guard (fun () -> check_schema_exn schema)

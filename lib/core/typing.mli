@@ -33,5 +33,12 @@ val check_method : Schema.t -> Method_def.t -> unit
 
 val check_all_methods : Schema.t -> unit
 
-(** Structural schema validation plus all method-body checks. *)
+(** [Schema.validate_exn] then {!check_all_methods}, run at most once
+    per schema value: a success is recorded on the value
+    ([Schema.mark_checked]) and later calls return at once.  A failure
+    records nothing, so the same value raises again on the next call.
+    @raise Error.E on the first violation. *)
+val check_schema_exn : Schema.t -> unit
+
+(** {!check_schema_exn} as a result. *)
 val check_all : Schema.t -> (unit, Error.t) result

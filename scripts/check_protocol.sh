@@ -5,7 +5,8 @@
 # and diffs the responses against pinned transcripts — the wire protocol
 # is a compatibility surface, so any drift must be a conscious choice.
 # One transcript pins served `eval` output (selections with and/or/not,
-# projections, method calls) outside and inside a transaction.
+# projections, method calls) outside and inside a transaction, and one
+# the served view DDL (define, read back, drop, re-define, duplicate).
 # A two-client race checks the conflict path (prefix-matched: the
 # loser's message embeds version numbers), a SIGTERM with an idle
 # client connected checks the server exits 0 within 2 s, and a final
@@ -171,6 +172,33 @@ ok "income(#2) = 300"
 ok bye
 EOF
 transcript "served eval"
+
+# -- 4b: served view DDL — define a projection that factors surrogates
+#    out of Person, read it back, drop it, re-define the same name, and
+#    hit the duplicate-name diagnostic -----------------------------------
+cat >"$tmp/in.txt" <<'EOF'
+eval "define view Pay = project Employee on [ssn, pay_rate];"
+eval ":type Pay"
+eval ":extent project Employee on [ssn, pay_rate]"
+eval "drop view Pay;"
+eval "define view Pay = project Employee on [name];"
+eval ":extent Pay"
+eval "define view Pay = project Employee on [ssn];"
+eval "drop view Pay;"
+quit
+EOF
+cat >"$tmp/want.txt" <<'EOF'
+ok "view Pay = project Employee on [ssn, pay_rate]"
+ok "view it : exactly {pay_rate, ssn}\n source Employee requires {pay_rate, ssn}"
+ok "extent: 2\n#1 {ssn = 1; pay_rate = 12.5}\n#2 {ssn = 2; pay_rate = 30}"
+ok "dropped view Pay"
+ok "view Pay = project Employee on [name]"
+ok "extent: 2\n#1 {name = \"alice\"}\n#2 {name = \"bob\"}"
+err "1:1: error[TDP052]: view or binding Pay is already defined"
+ok "dropped view Pay"
+ok bye
+EOF
+transcript "served view DDL"
 
 # -- 5: two clients race one slot — exactly one wins ------------------
 mkfifo "$tmp/a.in"
