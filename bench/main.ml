@@ -571,43 +571,49 @@ let table_s7 () =
 (* S8: durable-store recovery throughput                               *)
 (* ------------------------------------------------------------------ *)
 
+module Txn_log = Tdp_txn.Txn_log
+
 (* [store_fixture n] builds a database of [n] Employee objects over the
    fig1 schema and returns, alongside the schema, the two on-disk images
-   recovery consumes: the snapshot text (Dump grammar) and the WAL image
-   journaling mode would have produced for the same creations. *)
+   recovery consumes: the snapshot text (Dump grammar) and a txn.log of
+   one [begin]/[op]/[commit] bracket per creation — the records a served
+   single-op commit or an [odb store append] op writes. *)
 let store_fixture n =
   let o = Fig1.project () in
   let db = Tdp_store.Database.create o.schema in
-  let buf = Buffer.create (n * 64) in
-  let seq = ref 0 in
-  Tdp_store.Database.set_journal db
-    (Some
-       (fun op ->
-         incr seq;
-         Buffer.add_string buf (Tdp_store.Wal.encode ~seq:!seq op)));
-  List.iter
-    (fun i ->
-      ignore
-        (Tdp_store.Database.new_object db (ty "Employee")
-           ~init:
-             [ (at "ssn", Tdp_store.Value.Int i);
-               (at "date_of_birth", Tdp_store.Value.Date (1950 + (i mod 60)));
-               (at "pay_rate", Tdp_store.Value.Float (10.0 +. float_of_int (i mod 7)));
-               (at "hrs_worked", Tdp_store.Value.Float 40.0)
-             ]))
-    (List.init n (fun i -> i));
-  Tdp_store.Database.set_journal db None;
+  let buf = Buffer.create (n * 128) in
+  for i = 0 to n - 1 do
+    let op =
+      Tdp_store.Database.Op_new
+        { oid = Tdp_store.Oid.of_int (i + 1);
+          ty = ty "Employee";
+          init =
+            [ (at "ssn", Tdp_store.Value.Int i);
+              (at "date_of_birth", Tdp_store.Value.Date (1950 + (i mod 60)));
+              (at "pay_rate", Tdp_store.Value.Float (10.0 +. float_of_int (i mod 7)));
+              (at "hrs_worked", Tdp_store.Value.Float 40.0)
+            ]
+        }
+    in
+    Tdp_store.Wal.apply db op;
+    let txid = i + 1 in
+    List.iteri
+      (fun k r -> Buffer.add_string buf (Txn_log.encode ~seq:((3 * i) + k + 1) r))
+      [ Txn_log.Begin { txid; branch = "main" };
+        Txn_log.Op { txid; op };
+        Txn_log.Commit { txid }
+      ]
+  done;
   (o.schema, Tdp_store.Dump.to_string db, Buffer.contents buf)
 
 let bench_snapshot_load schema snapshot () =
   Tdp_store.Dump.load_into (Tdp_store.Database.create schema) snapshot
 
-let bench_wal_replay schema wal () =
-  Tdp_store.Wal.recover_text ~schema ~wal ()
+let bench_wal_replay schema txn () = Tdp_txn.Mvcc.recover_text ~schema ~txn ()
 
 let table_s8 () =
-  section "S8: durable-store recovery throughput (snapshot load vs. WAL replay)";
-  row3 "objects" "snapshot load" "wal replay";
+  section "S8: durable-store recovery throughput (snapshot load vs. log replay)";
+  row3 "objects" "snapshot load" "log replay";
   List.iter
     (fun n ->
       let schema, snapshot, wal = store_fixture n in
@@ -962,24 +968,25 @@ let with_bench_dir f =
 
 type rep_point = {
   rp_n : int;
-  rp_ship_ns : float;  (* open + drain the whole log, per record *)
+  rp_ship_ns : float;  (* open + drain the whole log, per shipped creation *)
   rp_idle_ns : float;  (* one caught-up poll: the steady-state heartbeat *)
 }
 
-(* The shipping workload: a primary directory whose wal.log holds [n]
-   creations, drained by a fresh replica.  Per-record cost is the
-   replica's catch-up rate — the bound on how fast lag burns down. *)
+(* The shipping workload: a primary directory whose txn.log holds [n]
+   one-creation brackets, drained by a fresh replica.  Per-creation cost
+   is the replica's catch-up rate — the bound on how fast lag burns
+   down. *)
 let replica_point n =
   with_bench_dir (fun dir ->
-      let schema, _snapshot, wal = store_fixture n in
-      Out_channel.with_open_bin (Filename.concat dir "wal.log") (fun oc ->
-          Out_channel.output_string oc wal);
+      let schema, _snapshot, txn = store_fixture n in
+      Out_channel.with_open_bin (Filename.concat dir "txn.log") (fun oc ->
+          Out_channel.output_string oc txn);
       let t_ship =
         time_it (fun () ->
             let r = Replica.open_ ~schema dir in
             let shipped = Replica.poll r in
             Replica.close r;
-            assert (shipped = n))
+            assert (shipped = 3 * n))
       in
       let r = Replica.open_ ~schema dir in
       ignore (Replica.poll r);
@@ -1096,12 +1103,12 @@ let session_point n =
 
 let table_s11 () =
   section "S11: replica catch-up and routed extents (fig1 Employees)";
-  row3 "shipped records" "catch-up per record" "idle poll";
+  row3 "shipped creations" "catch-up per creation" "idle poll";
   List.iter
     (fun n ->
       let p = replica_point n in
       row3 (string_of_int n)
-        (Fmt.str "%a  (%7.0f rec/s)" pp_time (p.rp_ship_ns /. 1e9)
+        (Fmt.str "%a  (%7.0f obj/s)" pp_time (p.rp_ship_ns /. 1e9)
            (1e9 /. p.rp_ship_ns))
         (Fmt.str "%a" pp_time (p.rp_idle_ns /. 1e9)))
     [ 100; 1000 ];
@@ -1231,7 +1238,7 @@ let json_report ~small =
   in
   let stats = Dispatch.stats d in
   (* durable-store recovery throughput: load one snapshot image /
-     replay one WAL image, reported per object *)
+     replay one txn.log of single-creation brackets, per object *)
   let store_n = if small then 200 else 1000 in
   let s_schema, s_snapshot, s_wal = store_fixture store_n in
   let t_snap = time_it (bench_snapshot_load s_schema s_snapshot) in

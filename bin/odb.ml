@@ -420,9 +420,14 @@ let query_cmd schema_file data_file view_name materialize json =
 
      DIR/schema.odb     surface-syntax schema (copied at init)
      DIR/snapshot.dump  latest atomic snapshot (Dump.save)
-     DIR/wal.log        write-ahead log of mutations since the snapshot
+     DIR/txn.log        transaction log of commits since the snapshot
 
-   Mutation scripts reuse the WAL payload grammar, one op per line:
+   The same files `odb serve` runs on: append and checkpoint open the
+   directory for writing (Mvcc.open_dir, which holds the txn.log lock,
+   so they fail while a server holds it), the other actions only read
+   (Mvcc.recover_text).  Mutation scripts use the op grammar of the
+   log's op records, one op per line; each op is committed as a
+   one-op transaction:
 
      new #1 Employee ssn=1 name="alice"
      set #1 pay_rate=60.0
@@ -432,6 +437,7 @@ let query_cmd schema_file data_file view_name materialize json =
 module Database = Tdp_store.Database
 module Dump = Tdp_store.Dump
 module Wal = Tdp_store.Wal
+module Mvcc = Tdp_txn.Mvcc
 
 type store_action = Init | Append | Recover | Checkpoint | Verify | DumpDb | Stats
 
@@ -444,7 +450,7 @@ let write_file path content =
     (fun () -> output_string oc content)
 
 let pp_corruption ppf (c : Wal.corruption) =
-  Fmt.pf ppf "wal corrupt at byte %d (expected seq %d): %s" c.offset c.at_seq
+  Fmt.pf ppf "txn.log corrupt at byte %d (expected seq %d): %s" c.offset c.at_seq
     c.reason
 
 let corruption_json = function
@@ -464,31 +470,42 @@ let parse_script file =
          if l = "" || (String.length l >= 2 && String.sub l 0 2 = "--") then None
          else Some (Wal.payload_of_string ~line:i l))
 
+(* warnings go to stderr in both modes; the envelope carries the
+   structured corruption record *)
+let warn_corruption (o : Mvcc.opened) =
+  Option.iter
+    (Fmt.epr "warning: %a; recovered the prefix before it@." pp_corruption)
+    o.txn_corruption;
+  if o.tmp_removed then
+    Fmt.epr "warning: removed orphaned snapshot .tmp (crashed checkpoint)@."
+
 let store_cmd action dir schema_file script_file json =
   setup "store" json;
-  let schema_path = Filename.concat dir "schema.odb"
-  and snapshot_path = Filename.concat dir "snapshot.dump"
-  and wal_path = Filename.concat dir "wal.log" in
-  (* A crash between Dump.save's temp-write and rename leaves an
-     orphaned snapshot.dump.tmp; it is never read as a snapshot, only
-     removed (and the removal announced). *)
-  let clean_orphan () =
-    if Sys.file_exists dir && Dump.clean_tmp ~path:snapshot_path then begin
-      Fmt.epr "warning: removed orphaned %s.tmp (crashed checkpoint)@."
-        snapshot_path;
-      true
-    end
-    else false
+  let in_dir = Filename.concat dir in
+  let schema_path = in_dir "schema.odb" in
+  let contents name =
+    if Sys.file_exists (in_dir name) then Some (read_file (in_dir name)) else None
   in
-  let recover schema =
-    Wal.recover ~load_schema:store_schema_loader ~schema ~snapshot_path
-      ~wal_path ()
+  let load_schema () =
+    (or_die ~file:schema_path (Elaborate.load (read_file schema_path))).schema
   in
-  (* warnings go to stderr in both modes; the envelope carries the
-     structured corruption record *)
-  let warn_corruption = function
-    | None -> ()
-    | Some c -> Fmt.epr "warning: %a; recovered the prefix before it@." pp_corruption c
+  let open_dir () =
+    let o = Mvcc.open_dir ~load_schema:store_schema_loader ~schema:(load_schema ()) dir in
+    warn_corruption o;
+    o
+  in
+  let head (o : Mvcc.opened) = Mvcc.head o.store ~branch:Mvcc.main_branch in
+  let snapshot_seq () =
+    Option.fold ~none:0 ~some:Dump.txn_seq (contents Mvcc.snapshot_file)
+  in
+  let recovery_fields (o : Mvcc.opened) =
+    [ ("objects", J.Int (Mvcc.count (head o)));
+      ("snapshot_seq", J.Int (snapshot_seq ()));
+      ("replayed", J.Int o.txn_applied);
+      ("last_seq", J.Int (o.txn_next_seq - 1));
+      ("tmp_removed", J.Bool o.tmp_removed);
+      ("corruption", corruption_json o.txn_corruption)
+    ]
   in
   try
     match action with
@@ -501,10 +518,16 @@ let store_cmd action dir schema_file script_file json =
         let src = read_file sf in
         let r = or_die ~file:sf (Elaborate.load src) in
         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        ignore (clean_orphan ());
-        write_file schema_path src;
-        Dump.save ~path:snapshot_path (Database.create r.schema);
-        Wal.close (Wal.writer_create ~path:wal_path ~next_seq:1 ());
+        (* a fresh, empty store: drop any previous contents, holding
+           the directory's lock while doing so *)
+        let w = Tdp_txn.Txn_log.writer_create ~path:(in_dir Mvcc.txn_file) ~next_seq:1 () in
+        Fun.protect
+          ~finally:(fun () -> Wal.close w)
+          (fun () ->
+            write_file schema_path src;
+            Dump.save ~path:(in_dir Mvcc.snapshot_file) (Database.create r.schema);
+            let legacy = in_dir Mvcc.wal_file in
+            if Sys.file_exists legacy then Sys.remove legacy);
         let types = Hierarchy.cardinal (Schema.hierarchy r.schema) in
         if json then
           finish `Ok
@@ -513,81 +536,110 @@ let store_cmd action dir schema_file script_file json =
           Fmt.pr "initialized %s (%d types, empty extent)@." dir types;
           0
         end
-    | Verify ->
-        let wal = if Sys.file_exists wal_path then read_file wal_path else "" in
-        let d = Wal.decode wal in
-        let schema = (or_die ~file:schema_path (Elaborate.load (read_file schema_path))).schema in
-        let snap =
-          if Sys.file_exists snapshot_path then read_file snapshot_path else ""
+    | Append ->
+        let sf =
+          match script_file with
+          | Some f -> f
+          | None -> die_msg "odb store append requires --script FILE"
         in
-        let db = Database.create schema in
-        let snap_objs = List.length (Dump.load_into db snap) in
-        let status = match d.corruption with None -> `Ok | Some _ -> `Findings in
-        if json then
-          finish status
-            ~data:
-              (J.Obj
-                 [ ("snapshot_objects", J.Int snap_objs);
-                   ("snapshot_wal_seq", J.Int (Dump.wal_seq snap));
-                   ("wal_records", J.Int (List.length d.entries));
-                   ("wal_valid_bytes", J.Int d.valid_bytes);
-                   ("next_seq", J.Int d.next_seq);
-                   ("corruption", corruption_json d.corruption)
-                 ])
-        else begin
-          Fmt.pr "snapshot: %d object(s), wal-seq %d@." snap_objs (Dump.wal_seq snap);
-          Fmt.pr "wal: %d intact record(s), %d byte(s) valid, next seq %d@."
-            (List.length d.entries) d.valid_bytes d.next_seq;
-          (match d.corruption with
-          | None -> Fmt.pr "ok.@."
-          | Some c -> Fmt.pr "%a@." pp_corruption c);
-          exit_of status
-        end
-    | (Append | Recover | Checkpoint | DumpDb | Stats) as action -> (
-        let tmp_removed = clean_orphan () in
-        let schema =
-          (or_die ~file:schema_path (Elaborate.load (read_file schema_path))).schema
-        in
-        let r = recover schema in
-        let recovery_fields (r : Wal.recovery) =
-          [ ("objects", J.Int (Database.count r.db));
-            ("snapshot_seq", J.Int r.snapshot_seq);
-            ("replayed", J.Int r.replayed);
-            ("last_seq", J.Int r.last_seq);
-            ("tmp_removed", J.Bool tmp_removed);
-            ("corruption", corruption_json r.corruption)
-          ]
-        in
-        match action with
-        | Recover ->
-            warn_corruption r.corruption;
-            if json then finish `Ok ~data:(J.Obj (recovery_fields r))
+        let ops = parse_script sf in
+        let o = open_dir () in
+        Fun.protect
+          ~finally:(fun () -> Mvcc.close o.store)
+          (fun () ->
+            List.iter
+              (fun op ->
+                let t = Mvcc.begin_ o.store in
+                Mvcc.stage t op;
+                match Mvcc.commit t with
+                | Ok _ -> ()
+                | Error e -> raise (Database.Store_error (Mvcc.commit_error_message e)))
+              ops;
+            let objects = Mvcc.count (head o) and last_seq = Mvcc.log_seq o.store in
+            if json then
+              finish `Ok
+                ~data:
+                  (J.Obj
+                     [ ("applied", J.Int (List.length ops));
+                       ("objects", J.Int objects);
+                       ("last_seq", J.Int last_seq)
+                     ])
             else begin
+              Fmt.pr "applied %d operation(s); %d object(s), txn.log at seq %d@."
+                (List.length ops) objects last_seq;
+              0
+            end)
+    | Checkpoint ->
+        let o = open_dir () in
+        Fun.protect
+          ~finally:(fun () -> Mvcc.close o.store)
+          (fun () ->
+            Mvcc.checkpoint o.store;
+            if json then finish `Ok ~data:(J.Obj (recovery_fields o))
+            else begin
+              Fmt.pr "checkpointed %d object(s) at seq %d@." (Mvcc.count (head o))
+                (snapshot_seq ());
+              0
+            end)
+    | (Recover | Verify | DumpDb | Stats) as action -> (
+        let o =
+          Mvcc.recover_text ~load_schema:store_schema_loader ~schema:(load_schema ())
+            ?snapshot:(contents Mvcc.snapshot_file) ?wal:(contents Mvcc.wal_file)
+            ?txn:(contents Mvcc.txn_file) ()
+        in
+        if action <> Verify then warn_corruption o;
+        let snap = head o in
+        match action with
+        | Verify ->
+            let status = match o.txn_corruption with None -> `Ok | Some _ -> `Findings in
+            if json then
+              finish status
+                ~data:
+                  (J.Obj
+                     [ ("objects", J.Int (Mvcc.count snap));
+                       ("snapshot_seq", J.Int (snapshot_seq ()));
+                       ("txn_applied", J.Int o.txn_applied);
+                       ("txn_discarded", J.Int o.txn_discarded);
+                       ("valid_bytes", J.Int o.txn_valid_bytes);
+                       ("next_seq", J.Int o.txn_next_seq);
+                       ("corruption", corruption_json o.txn_corruption)
+                     ])
+            else begin
+              Fmt.pr "snapshot: txn-seq %d; %d object(s) recovered@." (snapshot_seq ())
+                (Mvcc.count snap);
               Fmt.pr
-                "recovered %d object(s): snapshot seq %d + %d wal record(s), \
-                 last seq %d@."
-                (Database.count r.db) r.snapshot_seq r.replayed r.last_seq;
+                "txn.log: %d committed txn(s), %d dangling, %d byte(s) valid, next seq %d@."
+                o.txn_applied o.txn_discarded o.txn_valid_bytes o.txn_next_seq;
+              (match o.txn_corruption with
+              | None -> Fmt.pr "ok.@."
+              | Some c -> Fmt.pr "%a@." pp_corruption c);
+              exit_of status
+            end
+        | Recover ->
+            if json then finish `Ok ~data:(J.Obj (recovery_fields o))
+            else begin
+              Fmt.pr "recovered %d object(s): snapshot seq %d + %d txn(s), last seq %d@."
+                (Mvcc.count snap) (snapshot_seq ()) o.txn_applied (o.txn_next_seq - 1);
               0
             end
         | DumpDb ->
-            warn_corruption r.corruption;
+            let text = Mvcc.dump snap in
             if json then
-              finish `Ok
-                ~data:(J.Obj (recovery_fields r @ [ ("dump", J.String (Dump.to_string r.db)) ]))
+              finish `Ok ~data:(J.Obj (recovery_fields o @ [ ("dump", J.String text) ]))
             else begin
-              print_string (Dump.to_string r.db);
+              print_string text;
               0
             end
         | Stats ->
             (* storage-layout statistics of the recovered store: one
                line per columnar block *)
-            warn_corruption r.corruption;
-            let stats = Database.stats r.db in
+            let db = Mvcc.to_database snap in
+            let stats = Database.stats db in
             if json then
               finish `Ok
                 ~data:
                   (J.Obj
-                     [ ("objects", J.Int (Database.count r.db));
+                     [ ("objects", J.Int (Database.count db));
                        ("blocks", J.Int (List.length stats));
                        ( "block_stats",
                          J.List
@@ -604,7 +656,7 @@ let store_cmd action dir schema_file script_file json =
                               stats) )
                      ])
             else begin
-              Fmt.pr "%d object(s) in %d block(s)@." (Database.count r.db)
+              Fmt.pr "%d object(s) in %d block(s)@." (Database.count db)
                 (List.length stats);
               List.iter
                 (fun (s : Database.block_stat) ->
@@ -614,50 +666,7 @@ let store_cmd action dir schema_file script_file json =
                 stats;
               0
             end
-        | Checkpoint ->
-            warn_corruption r.corruption;
-            Dump.save ~wal_seq:r.last_seq ~path:snapshot_path r.db;
-            Wal.close (Wal.writer_create ~path:wal_path ~next_seq:(r.last_seq + 1) ());
-            if json then finish `Ok ~data:(J.Obj (recovery_fields r))
-            else begin
-              Fmt.pr "checkpointed %d object(s) at seq %d@." (Database.count r.db)
-                r.last_seq;
-              0
-            end
-        | Append ->
-            let sf =
-              match script_file with
-              | Some f -> f
-              | None -> die_msg "odb store append requires --script FILE"
-            in
-            let ops = parse_script sf in
-            (match r.corruption with
-            | Some c ->
-                Fmt.epr "warning: %a; truncating the torn tail@." pp_corruption c;
-                Wal.repair ~path:wal_path r.wal_valid_bytes
-            | None -> ());
-            let w = Wal.writer_open ~path:wal_path ~next_seq:(r.last_seq + 1) () in
-            Fun.protect
-              ~finally:(fun () ->
-                Database.set_journal r.db None;
-                Wal.close w)
-              (fun () ->
-                Wal.attach w r.db;
-                List.iter (Wal.apply ~load_schema:store_schema_loader r.db) ops);
-            if json then
-              finish `Ok
-                ~data:
-                  (J.Obj
-                     [ ("applied", J.Int (List.length ops));
-                       ("objects", J.Int (Database.count r.db));
-                       ("last_seq", J.Int (Wal.writer_seq w - 1))
-                     ])
-            else begin
-              Fmt.pr "applied %d operation(s); %d object(s), wal at seq %d@."
-                (List.length ops) (Database.count r.db) (Wal.writer_seq w - 1);
-              0
-            end
-        | Init | Verify -> assert false)
+        | Init | Append | Checkpoint -> assert false)
   with
   | Database.Store_error m -> die_msg m
   | Dump.Parse_error { line; message } -> die_msg (Fmt.str "line %d: %s" line message)
@@ -668,8 +677,7 @@ let store_cmd action dir schema_file script_file json =
 (* `odb repl TARGET` — the interactive statement language over either a
    schema file (a fresh in-memory store, the file's views predefined)
    or a store directory.  Directory recovery goes through
-   [Mvcc.recover_text] so transactional commits in txn.log are visible
-   too, not just wal.log state — the repl sees what `odb serve` would
+   [Mvcc.recover_text] — the repl sees what `odb serve` would
    serve.  Mutations stay in memory — durable writes go through
    `odb connect` and the server's `eval` verb.  With --script the
    input is replayed with prompts and lines echoed, so the transcript
@@ -737,7 +745,6 @@ let repl_cmd target script json =
 
 (* --- serve / connect ------------------------------------------------ *)
 
-module Mvcc = Tdp_txn.Mvcc
 module Server = Tdp_txn.Server
 
 let default_socket dir = Filename.concat dir "odb.sock"
@@ -802,14 +809,7 @@ let serve_cmd dir socket tcp domains no_sync json =
       Mvcc.open_dir ~load_schema:store_schema_loader ~sync:(not no_sync)
         ~schema dir
     in
-    (match o.Mvcc.txn_corruption with
-    | Some c -> Fmt.epr "warning: txn log %a; recovered the prefix before it@." pp_corruption c
-    | None -> ());
-    (match o.Mvcc.wal_corruption with
-    | Some c -> Fmt.epr "warning: %a; recovered the prefix before it@." pp_corruption c
-    | None -> ());
-    if o.Mvcc.tmp_removed then
-      Fmt.epr "warning: removed orphaned snapshot .tmp (crashed checkpoint)@.";
+    warn_corruption o;
     let store = o.Mvcc.store in
     let srv =
       Server.start ?domains ~store addr
@@ -902,7 +902,7 @@ module Replica = Tdp_replica.Replica
 module Router = Tdp_replica.Router
 
 (* `odb replicate PRIMARY_DIR` — bootstrap a read replica from the
-   primary's snapshot, tail wal.log + txn.log, and serve the applied
+   primary's snapshot, tail txn.log, and serve the applied
    state read-only.  With --save DIR the applied state is persisted as
    a store directory at startup and on clean shutdown — the input to
    `odb promote`. *)
@@ -929,7 +929,7 @@ let replicate_cmd primary_dir socket tcp save domains interval json =
     let shipped = Replica.poll r in
     (match save with Some dir -> Replica.save r ~dir | None -> ());
     let info =
-      { Server.ri_seqs = (fun () -> Replica.applied_seqs r);
+      { Server.ri_seq = (fun () -> Replica.applied_seq r);
         ri_lag = (fun () -> Replica.lag r)
       }
     in
@@ -944,7 +944,7 @@ let replicate_cmd primary_dir socket tcp save domains interval json =
         addr
     in
     let bound = sockaddr_string (Server.sockaddr srv) in
-    let wal_seq, txn_seq = Replica.applied_seqs r in
+    let txn_seq = Replica.applied_seq r in
     let warned = ref false in
     let tick () =
       ignore (Replica.poll r);
@@ -965,15 +965,14 @@ let replicate_cmd primary_dir socket tcp save domains interval json =
                   (J.Obj
                      [ ("primary", J.String primary_dir);
                        ("listening", J.String bound);
-                       ("wal_seq", J.Int wal_seq);
                        ("txn_seq", J.Int txn_seq);
                        ("shipped", J.Int shipped)
                      ])))
         else
           Fmt.pr
-            "replicating %s on %s (read-only; wal %d, txn %d; %d record(s) \
-             shipped at start)@."
-            primary_dir bound wal_seq txn_seq shipped);
+            "replicating %s on %s (read-only; txn %d; %d record(s) shipped at \
+             start)@."
+            primary_dir bound txn_seq shipped);
     Server.stop srv;
     (match save with Some dir -> Replica.save r ~dir | None -> ());
     Replica.close r;
@@ -1018,19 +1017,15 @@ let promote_cmd replica_dir primary_dir allow_lag json =
             (J.Obj
                [ ("replica_dir", J.String replica_dir);
                  ("primary_dir", J.String primary_dir);
-                 ("replica_wal", J.Int p.Replica.replica_wal);
-                 ("replica_txn", J.Int p.replica_txn);
-                 ("primary_ckpt_wal", J.Int p.primary_ckpt_wal);
+                 ("replica_txn", J.Int p.Replica.replica_txn);
                  ("primary_ckpt_txn", J.Int p.primary_ckpt_txn);
-                 ("primary_last_wal", J.Int p.primary_last_wal);
                  ("primary_last_txn", J.Int p.primary_last_txn)
                ])
       else begin
         Fmt.pr
-          "promotable: %s is at wal %d txn %d (primary durable tip: wal %d \
-           txn %d)@.serve it as the new primary: odb serve %s@."
-          replica_dir p.Replica.replica_wal p.replica_txn p.primary_last_wal
-          p.primary_last_txn replica_dir;
+          "promotable: %s is at txn %d (primary durable tip: txn %d)@.serve it \
+           as the new primary: odb serve %s@."
+          replica_dir p.Replica.replica_txn p.primary_last_txn replica_dir;
         0
       end
 
@@ -1326,13 +1321,15 @@ let query_t =
 
 let store_t =
   let doc =
-    "Operate a durable object store directory (snapshot + write-ahead log). \
-     $(b,init) creates DIR from --schema; $(b,append) journals a --script of \
-     mutations; $(b,recover) replays snapshot+WAL and reports; \
-     $(b,checkpoint) folds the WAL into a fresh atomic snapshot; \
-     $(b,verify) checks WAL integrity (exit 1 on corruption); $(b,dump) \
-     prints the recovered state; $(b,stats) prints columnar block-layout \
-     statistics."
+    "Operate a durable object store directory (snapshot + transaction log, \
+     the files $(b,odb serve) runs on). $(b,init) creates DIR from --schema; \
+     $(b,append) commits a --script of mutations, one transaction per op; \
+     $(b,recover) replays snapshot+log and reports; $(b,checkpoint) folds \
+     the log into a fresh atomic snapshot; $(b,verify) checks log \
+     integrity (exit 1 on corruption); $(b,dump) prints the recovered \
+     state; $(b,stats) prints columnar block-layout statistics.  \
+     $(b,init), $(b,append) and $(b,checkpoint) fail while another process \
+     (such as $(b,odb serve)) holds DIR."
   in
   let action =
     let actions =
@@ -1423,7 +1420,7 @@ let connect_t =
 let replicate_t =
   let doc =
     "Serve a read replica of a primary store directory: bootstrap from \
-     DIR/snapshot.dump, tail DIR/wal.log and DIR/txn.log record-at-a-time, \
+     DIR/snapshot.dump, tail DIR/txn.log record-at-a-time, \
      and serve the applied state read-only (mutating verbs are refused; \
      $(b,seq) and $(b,lag) report the shipping position).  With --save the \
      applied state is persisted as a store directory at startup and on \

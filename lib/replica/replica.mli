@@ -1,47 +1,38 @@
 (** Log-shipping read replicas with failover.
 
-    A primary's store directory ([snapshot.dump] + [wal.log] +
-    [txn.log]) is already a replication feed: both logs are CRC'd,
-    seq-numbered prefix-commit logs ({!Tdp_store.Wal}).  A replica
-    bootstraps from the snapshot and then {e tails} the logs
-    record-at-a-time — bounded memory, resumable offsets — applying:
-
-    - [wal.log] records (plain ops, the [odb store] write path)
-      directly to its [main] head, one published version per record;
-    - [txn.log] records (server commits) through
-      {!Tdp_txn.Mvcc.replay_record}, the replayer recovery uses:
-      brackets publish at their commit, dangling ones stay buffered
-      and are never applied.
+    A primary's store directory ([snapshot.dump] + [txn.log]) is
+    already a replication feed: the log is a CRC'd, seq-numbered
+    prefix-commit log ({!Tdp_store.Wal}).  A replica bootstraps from
+    the snapshot (folding a legacy [wal.log] in memory, as recovery
+    does) and then {e tails} the log record-at-a-time — bounded memory,
+    resumable offsets — applying each record through
+    {!Tdp_txn.Mvcc.replay_record}, the replayer recovery uses: brackets
+    publish at their commit, dangling ones stay buffered and are never
+    applied.
 
     Because a record applies only once its full line is present and
     checksummed, killing the feed at any byte offset leaves the
     replica at exactly the state [recover] would produce from the same
     prefix — the fault-injection suite checks every offset.
 
-    {b Checkpoints.} A primary checkpoint truncates the logs in place.
+    {b Checkpoints.} A primary checkpoint truncates the log in place.
     Three tells detect it: the file shrinking below the consumed
-    offset, the snapshot's seq headers advancing past the applied
+    offset, the snapshot's [txn-seq] header advancing past the applied
     position, and the log's first frame carrying a seq above the base
-    the tails were opened against — the latter two catch in-place
+    the tail was opened against — the latter two catch in-place
     rewrites that leave the log at (or above) the old byte size, where
     the stale offset reads only silence or garbage.  All resolve by
-    {e resync}: reload the base from the snapshot, re-open the tails
+    {e resync}: reload the base from the snapshot, re-open the tail
     from offset 0.
 
     {b Halts.} Corruption, unexplainable sequence gaps, structurally
     invalid brackets and unexpected replay exceptions all {e halt} the
     apply loop with a structured reason ({!status}).  A halted replica
     still serves reads at its last applied state; nothing in the apply
-    loop raises a bare [Assert_failure].
-
-    The one write path a replica assumes: the primary appends through
-    {e either} [wal.log] (the CLI store) or [txn.log] (the server) at
-    a time — the same assumption [recover] makes when it replays
-    wal-then-txn. *)
+    loop raises a bare [Assert_failure]. *)
 
 open Tdp_core
 module Database = Tdp_store.Database
-module Wal = Tdp_store.Wal
 module Mvcc = Tdp_txn.Mvcc
 
 type t
@@ -49,19 +40,19 @@ type t
 type status = Running | Halted of string  (** structured, diagnosable *)
 
 (** Open a replica over [primary_dir]: load the current snapshot and
-    start tailing both logs.  [schema]/[load_schema] as in
-    {!Tdp_store.Wal.recover}.
+    start tailing the log.  [schema]/[load_schema] as in
+    {!Tdp_txn.Mvcc.recover_text}.
     @raise Database.Store_error when [primary_dir] is not a store
     directory, or on a damaged snapshot (snapshots are written
     atomically — a bad one is real damage, not a torn tail). *)
 val open_ :
   ?load_schema:(string -> Schema.t) -> schema:Schema.t -> string -> t
 
-(** Apply everything currently shippable (both logs, resyncing across
-    checkpoints as needed); returns the number of records applied.
-    Cheap when idle: an [fstat]-bounded read past each log's end plus
-    bounded header probes (snapshot seq headers, first log frames) for
-    the checkpoint tells — never O(database) bytes.  Never raises;
+(** Apply everything currently shippable (resyncing across checkpoints
+    as needed); returns the number of records applied.  Cheap when
+    idle: an [fstat]-bounded read past the log's end plus bounded
+    header probes (the snapshot's seq header, the log's first frame)
+    for the checkpoint tells — never O(database) bytes.  Never raises;
     failures halt ({!status}). *)
 val poll : t -> int
 
@@ -72,13 +63,13 @@ val primary_dir : t -> string
     {!Tdp_txn.Server.start} with [mode = Read_only] to serve. *)
 val store : t -> Mvcc.t
 
-(** Applied (wal seq, txn seq), snapshot-absorbed records included —
-    what the [seq] protocol verb reports. *)
-val applied_seqs : t -> int * int
+(** Applied txn.log seq, snapshot-absorbed records included — what
+    the [seq] protocol verb reports. *)
+val applied_seq : t -> int
 
-(** Durable log bytes not yet consumed, (wal, txn) — what the [lag]
-    protocol verb reports; (0, 0) when fully caught up. *)
-val lag : t -> int * int
+(** Durable log bytes not yet consumed — what the [lag] protocol verb
+    reports; 0 when fully caught up. *)
+val lag : t -> int
 
 (** Times the replica reloaded its base from the primary snapshot. *)
 val resyncs : t -> int
@@ -89,19 +80,16 @@ val close : t -> unit
 (** {1 Persistence and failover} *)
 
 (** Persist the applied state as a complete store directory (schema
-    copy + atomic snapshot whose [wal-seq]/[txn-seq] headers are the
-    replica's applied position) — what {!promote} judges, and what a
+    copy + atomic snapshot whose [txn-seq] header is the replica's
+    applied position) — what {!promote} judges, and what a
     promoted replica serves from.
     @raise Database.Store_error with more than one branch. *)
 val save : t -> dir:string -> unit
 
 type promotion = {
-  replica_wal : int;
-  replica_txn : int;
-  primary_ckpt_wal : int;  (** wal-seq of the primary's last checkpoint *)
-  primary_ckpt_txn : int;
-  primary_last_wal : int;  (** last durable wal.log seq on the primary *)
-  primary_last_txn : int;
+  replica_txn : int;  (** the saved state's [txn-seq] *)
+  primary_ckpt_txn : int;  (** [txn-seq] of the primary's last checkpoint *)
+  primary_last_txn : int;  (** last durable txn.log seq on the primary *)
 }
 
 type promote_error =
@@ -118,11 +106,11 @@ val promote_error_message : promote_error -> string
 
 (** Failover judgement: compare the saved replica state in
     [replica_dir] ({!save}) against [primary_dir]'s last checkpoint
-    and durable log tips.  [Ok _] means [replica_dir] is exactly the
+    and durable log tip.  [Ok _] means [replica_dir] is exactly the
     primary's durable state (or a lag-forced prefix) and can be served
     as the new primary as-is — its snapshot headers make any fresh
-    writers resume at the right sequence numbers.  Reads the primary's
-    logs streamingly; never loads them whole. *)
+    writer resume at the right sequence number.  Reads the primary's
+    log streamingly; never loads it whole. *)
 val promote :
   ?allow_lag:bool ->
   replica_dir:string ->

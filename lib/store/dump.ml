@@ -88,35 +88,36 @@ let to_string db =
   Buffer.contents buf
 
 (* Split a dump line into whitespace-separated tokens, keeping quoted
-   strings intact. *)
+   strings (and their escapes) intact.  Each token is one substring of
+   the line: every snapshot and log line passes through here. *)
 let tokens line_no line =
-  let out = ref [] and buf = Buffer.create 16 in
-  let in_string = ref false and escaped = ref false in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
+  let n = String.length line in
+  (* [tok_end i] is the first unquoted blank at or after [i] *)
+  let rec tok_end i =
+    if i >= n then n
+    else
+      match line.[i] with
+      | ' ' | '\t' -> i
+      | '"' -> str_end (i + 1)
+      | _ -> tok_end (i + 1)
+  and str_end i =
+    if i >= n then fail line_no "unterminated string"
+    else
+      match line.[i] with
+      | '\\' -> str_end (i + 2)
+      | '"' -> tok_end (i + 1)
+      | _ -> str_end (i + 1)
   in
-  String.iter
-    (fun c ->
-      if !in_string then begin
-        Buffer.add_char buf c;
-        if !escaped then escaped := false
-        else if c = '\\' then escaped := true
-        else if c = '"' then in_string := false
-      end
-      else
-        match c with
-        | ' ' | '\t' -> flush ()
-        | '"' ->
-            Buffer.add_char buf c;
-            in_string := true
-        | c -> Buffer.add_char buf c)
-    line;
-  if !in_string then fail line_no "unterminated string";
-  flush ();
-  List.rev !out
+  let rec go acc i =
+    if i >= n then List.rev acc
+    else
+      match line.[i] with
+      | ' ' | '\t' -> go acc (i + 1)
+      | _ ->
+          let j = tok_end i in
+          go (String.sub line i (j - i) :: acc) j
+  in
+  go [] 0
 
 type parsed_obj = {
   p_oid : int;
@@ -260,9 +261,9 @@ let txn_seq src = header_value txn_seq_header src
 (* Atomic snapshot: write to a temporary sibling, fsync, rename over
    the target, then fsync the parent directory — without the last step
    a crash after checkpoint-then-truncate can lose the rename itself
-   and with it the snapshot.  The [wal_seq]/[txn_seq] headers record
-   the last WAL / transaction-log sequence numbers folded into the
-   snapshot; recovery skips records at or below them, which makes the
+   and with it the snapshot.  The [txn_seq] header records the last
+   transaction-log sequence number folded into the snapshot ([wal_seq]
+   the same for a legacy wal.log); recovery skips records at or below them, which makes the
    checkpoint-then-truncate sequence crash-safe at every point. *)
 let save ?(wal_seq = 0) ?(txn_seq = 0) ~path db =
   Obs.Metrics.time m_save_ns (fun () ->

@@ -36,10 +36,11 @@ val load_into : Database.t -> string -> Oid.t list
 
 (** Atomically snapshot [db] to [path]: write-temp, fsync, rename,
     fsync the parent directory (without which the rename itself may not
-    survive a crash).  [wal_seq] (default 0) is recorded in a header
-    comment and names the last WAL record already folded into this
-    snapshot; {!Wal.recover} skips records at or below it.  [txn_seq]
-    (default 0) is the same cursor for a {!Tdp_txn} transaction log. *)
+    survive a crash).  [txn_seq] (default 0) is recorded in a header
+    comment and names the last transaction-log record already folded
+    into this snapshot; recovery skips records at or below it.
+    [wal_seq] (default 0) is the same cursor for a legacy [wal.log],
+    written only by {!Wal.fold_legacy}'s one-time fold. *)
 val save : ?wal_seq:int -> ?txn_seq:int -> path:string -> Database.t -> unit
 
 (** The [wal_seq] header of a snapshot's text, or 0 if absent. *)

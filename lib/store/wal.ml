@@ -1,51 +1,52 @@
 open Tdp_core
 
-(* Write-ahead log over the Dump value grammar.  See wal.mli for the
-   record format and the recovery contract.  The design constraints:
+(* Log framing over the Dump value grammar.  See wal.mli for the record
+   format and the recovery contract.  The design constraints:
 
    - append must be cheap and sequential (one write, one fsync per
      batch of lines);
    - decoding must be total: any byte prefix of a valid log, and any
      single-byte corruption of one, decodes to a clean prefix of the
-     committed operations — the fault-injection suite checks literally
+     committed records — the fault-injection suites check literally
      every offset;
-   - the snapshot's wal-seq header makes checkpointing idempotent: a
-     crash between snapshot rename and log truncation only means some
+   - a snapshot's seq header makes checkpointing idempotent: a crash
+     between snapshot rename and log truncation only means some
      already-snapshotted records get skipped, not re-applied. *)
 
 exception Wal_error of string
 
 (* Observability: append latency splits into encode+write and fsync —
-   the fsync share is what journaling mode actually costs — and
-   recovery reports how many ops it replayed and how long the replay
-   took.  Recording is gated inside Tdp_obs. *)
+   the fsync share is what a durable commit actually costs.  Recording
+   is gated inside Tdp_obs. *)
 module Obs = Tdp_obs
 let m_append = Obs.Metrics.counter "wal.append"
 let m_append_ns = Obs.Metrics.histogram "wal.append_ns"
 let m_fsync_ns = Obs.Metrics.histogram "wal.fsync_ns"
-let m_replay_ops = Obs.Metrics.counter "wal.replay.ops"
-let m_replay_ns = Obs.Metrics.histogram "wal.replay_ns"
 
 let fail fmt = Fmt.kstr (fun s -> raise (Wal_error s)) fmt
 
 (* ---- CRC-32 (IEEE 802.3, reflected) -------------------------------- *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
+(* Fold [s.[off .. off+len-1]] into a running (pre-inversion) CRC, so a
+   record's checksum is computed over its pieces in place. *)
+let crc_update c s off len =
+  let c = ref c in
+  for i = off to off + len - 1 do
+    c :=
+      Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  !c
+
+let crc32 s = crc_update 0xFFFFFFFF s 0 (String.length s) lxor 0xFFFFFFFF
 
 (* ---- payload grammar ----------------------------------------------- *)
 
@@ -118,24 +119,15 @@ let payload_of_string ~line s : Database.op =
 
 (* ---- record framing ------------------------------------------------ *)
 
-(* The framing is generic over the record magic and payload grammar so
-   other prefix-commit logs (the Tdp_txn transaction log) can layer on
-   the same CRC'd, seq-numbered, torn-tail-tolerant line format. *)
+(* The framing is generic over the record magic and payload grammar:
+   the transaction log (Tdp_txn, magic 't') is the one log written, and
+   the legacy fold below reads the retired plain-op records (magic 'w')
+   with the same CRC'd, seq-numbered, torn-tail-tolerant rules. *)
 
 let encode_line ~magic ~seq payload =
   Fmt.str "%c %d %08x %s\n" magic seq (crc32 (Fmt.str "%d %s" seq payload)) payload
 
-let encode ~seq op = encode_line ~magic:'w' ~seq (payload_to_string op)
-
 type corruption = { at_seq : int; offset : int; reason : string }
-type entry = { seq : int; op : Database.op; ends_at : int }
-
-type decoded = {
-  entries : entry list;
-  next_seq : int;
-  valid_bytes : int;
-  corruption : corruption option;
-}
 
 type 'a framed = { fseq : int; fvalue : 'a; fends_at : int }
 
@@ -146,34 +138,45 @@ type 'a framed_decoded = {
   fcorruption : corruption option;
 }
 
+(* The number spelled by [line.[lo .. hi-1]] in [base] (10 or 16),
+   digits only — the writer prints [%d] and [%08x]; [None] for an empty,
+   overlong or malformed field.  Read in place: every record's header
+   passes through here. *)
+let number ~base line lo hi =
+  let rec go i acc =
+    if i = hi then Some acc
+    else
+      let d =
+        match line.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c when base = 16 -> Char.code c - 87
+        | _ -> base
+      in
+      if d >= base then None else go (i + 1) ((acc * base) + d)
+  in
+  if hi <= lo || hi - lo > 15 then None else go lo 0
+
 (* One line, newline stripped.  [Error reason] never raises so that
    decode stays total on arbitrary bytes. *)
 let parse_record ~magic ~parse line =
-  let open struct
-    exception Bad of string
-  end in
-  try
-    if String.length line < 2 || line.[0] <> magic || line.[1] <> ' ' then
-      raise (Bad "bad record magic");
-    let sp1 =
-      match String.index_from_opt line 2 ' ' with
-      | Some i -> i
-      | None -> raise (Bad "missing checksum field")
-    in
-    let sp2 =
-      match String.index_from_opt line (sp1 + 1) ' ' with
-      | Some i -> i
-      | None -> raise (Bad "missing payload")
-    in
-    let seq_s = String.sub line 2 (sp1 - 2) in
-    let crc_s = String.sub line (sp1 + 1) (sp2 - sp1 - 1) in
-    let payload = String.sub line (sp2 + 1) (String.length line - sp2 - 1) in
-    match (int_of_string_opt seq_s, int_of_string_opt ("0x" ^ crc_s)) with
-    | Some seq, Some crc when seq >= 1 ->
-        if crc <> crc32 (seq_s ^ " " ^ payload) then Error "checksum mismatch"
-        else Result.map (fun v -> (seq, v)) (parse payload)
-    | _ -> Error "bad record header"
-  with Bad reason -> Error reason
+  let n = String.length line in
+  if n < 2 || line.[0] <> magic || line.[1] <> ' ' then Error "bad record magic"
+  else
+    match String.index_from_opt line 2 ' ' with
+    | None -> Error "missing checksum field"
+    | Some sp1 -> (
+        match String.index_from_opt line (sp1 + 1) ' ' with
+        | None -> Error "missing payload"
+        | Some sp2 -> (
+            match (number ~base:10 line 2 sp1, number ~base:16 line (sp1 + 1) sp2) with
+            | Some seq, Some crc when seq >= 1 ->
+                (* the checksum covers "<seq> <payload>" *)
+                let plen = n - sp2 - 1 in
+                let c = crc_update 0xFFFFFFFF line 2 (sp1 - 2) in
+                let c = crc_update (crc_update c " " 0 1) line (sp2 + 1) plen in
+                if crc <> c lxor 0xFFFFFFFF then Error "checksum mismatch"
+                else Result.map (fun v -> (seq, v)) (parse (String.sub line (sp2 + 1) plen))
+            | _ -> Error "bad record header"))
 
 (* ---- incremental decode -------------------------------------------- *)
 
@@ -308,38 +311,6 @@ let decode_framed ~magic ~parse src =
   in
   { fentries; fnext_seq; fvalid_bytes; fcorruption }
 
-let parse_op payload =
-  match payload_of_string ~line:0 payload with
-  | op -> Ok op
-  | exception Dump.Parse_error { message; _ } -> Error message
-
-let decode src =
-  let d = decode_framed ~magic:'w' ~parse:parse_op src in
-  { entries =
-      List.map (fun e -> { seq = e.fseq; op = e.fvalue; ends_at = e.fends_at }) d.fentries;
-    next_seq = d.fnext_seq;
-    valid_bytes = d.fvalid_bytes;
-    corruption = d.fcorruption
-  }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Truncate in place rather than read-rewrite: repair never needs the
-   log contents, only the valid-prefix length. *)
-let repair ~path valid_bytes =
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      if (Unix.fstat fd).st_size > valid_bytes then begin
-        Unix.ftruncate fd valid_bytes;
-        Unix.fsync fd
-      end)
-
 (* ---- file tailing --------------------------------------------------- *)
 
 (* A cursor over a growing log file.  [tail_poll] returns records as
@@ -349,7 +320,7 @@ let repair ~path valid_bytes =
    the consumed offset — the primary checkpointed — at which point the
    caller reopens from offset 0 (the fresh log resumes one past the
    checkpoint seq, so the cursor's consecutive-seq check still
-   bridges).  Corruption is sticky, exactly as in {!decode}. *)
+   bridges).  Corruption is sticky, exactly as in {!decode_framed}. *)
 
 type 'a tail = {
   tfd : Unix.file_descr;
@@ -396,10 +367,14 @@ let tail_close t = try Unix.close t.tfd with Unix.Unix_error _ -> ()
    so the writer rolls the file back to [committed] (best-effort) and
    poisons itself: the sequence counter is only ever bumped on success,
    so a poisoned writer can never produce the gapped or shadowed seqs
-   that [recover] then refuses.  Re-open after {!repair} to resume.
-   The writer owns a bare descriptor, not a channel: a channel would
-   keep a failed batch in its buffer and write it out again at close,
-   after the rollback. *)
+   that recovery then refuses.  The writer owns a bare descriptor, not a
+   channel: a channel would keep a failed batch in its buffer and write
+   it out again at close, after the rollback.
+
+   The descriptor also holds the log's one-writer lock.  [lockf] locks
+   belong to the process and drop when {e any} of its descriptors on
+   the file closes, so a writer is never swapped for a fresh one on the
+   same path: {!reset} truncates and renumbers it in place instead. *)
 type writer = {
   fd : Unix.file_descr;
   magic : char;
@@ -409,22 +384,56 @@ type writer = {
   mutable poisoned : bool;
 }
 
-let writer_make flags ?(sync = true) ?(magic = 'w') ~path ~next_seq () =
+let writer_open ?(sync = true) ~magic ~path () =
   let fd =
-    try Unix.openfile path (Unix.O_WRONLY :: Unix.O_CREAT :: flags) 0o644
+    try Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_APPEND ] 0o644
     with Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
   in
+  (match Unix.lockf fd Unix.F_TLOCK 0 with
+  | () -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
+      Unix.close fd;
+      raise
+        (Database.Store_error
+           (Fmt.str "store %s is in use by another process (%s is locked)"
+              (Filename.dirname path) path)));
   (* the open may have created the file: fsync the directory so the
      name itself survives a crash, not just later record fsyncs *)
   Dump.fsync_dir (Filename.dirname path);
   let committed = try (Unix.fstat fd).st_size with Unix.Unix_error _ -> 0 in
-  { fd; magic; next = next_seq; sync; committed; poisoned = false }
+  { fd; magic; next = 1; sync; committed; poisoned = false }
 
-let writer_create ?sync ?magic ~path ~next_seq () =
-  writer_make [ Unix.O_TRUNC ] ?sync ?magic ~path ~next_seq ()
+(* Read through the locked descriptor: opening and closing another one
+   on the same file would drop the lock.  Appends ignore the offset
+   ([O_APPEND]), so moving it costs the writer nothing. *)
+let contents w =
+  let len = (Unix.fstat w.fd).st_size in
+  let buf = Bytes.create len in
+  ignore (Unix.lseek w.fd 0 Unix.SEEK_SET);
+  let rec go off =
+    if off < len then
+      match Unix.read w.fd buf off (len - off) with 0 -> off | n -> go (off + n)
+    else off
+  in
+  Bytes.sub_string buf 0 (go 0)
 
-let writer_open ?sync ?magic ~path ~next_seq () =
-  writer_make [ Unix.O_APPEND ] ?sync ?magic ~path ~next_seq ()
+(* Cut the file back to its first [valid_bytes] bytes (a torn tail, or
+   everything after a checkpoint) and continue numbering at
+   [next_seq].  The file is in a known state afterwards, so a poisoned
+   writer is usable again. *)
+let reset w ~valid_bytes ~next_seq =
+  if (Unix.fstat w.fd).st_size > valid_bytes then begin
+    Unix.ftruncate w.fd valid_bytes;
+    Unix.fsync w.fd
+  end;
+  w.committed <- valid_bytes;
+  w.next <- next_seq;
+  w.poisoned <- false
+
+let writer_create ?sync ~magic ~path ~next_seq () =
+  let w = writer_open ?sync ~magic ~path () in
+  reset w ~valid_bytes:0 ~next_seq;
+  w
 
 (* The batch is framed in memory and reaches the file through one
    [Unix.write] (a single syscall up to its 64 KiB chunk size) and, in
@@ -432,7 +441,7 @@ let writer_open ?sync ?magic ~path ~next_seq () =
    write, not one per record. *)
 let append_batch w payloads =
   if w.poisoned then
-    fail "wal writer is poisoned by an earlier failed append; repair and reopen";
+    fail "log writer is poisoned by an earlier failed append; reopen the store";
   Obs.Metrics.time m_append_ns (fun () ->
       let first = w.next in
       let batch =
@@ -458,15 +467,12 @@ let append_batch w payloads =
           raise exn)
 
 let append_payload w payload = append_batch w [ payload ]
-let append w op = append_payload w (payload_to_string op)
 let writer_seq w = w.next
 let writer_poisoned w = w.poisoned
 let writer_fd w = w.fd
-
-let attach w db = Database.set_journal db (Some (fun op -> ignore (append w op)))
 let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
 
-(* ---- replay and recovery ------------------------------------------- *)
+(* ---- the legacy fold ------------------------------------------------ *)
 
 let apply ?load_schema db (op : Database.op) =
   match op with
@@ -478,32 +484,26 @@ let apply ?load_schema db (op : Database.op) =
       | Some f -> Database.set_schema ~source db (f source)
       | None -> fail "schema record in the log but no schema loader given")
 
-type recovery = {
-  db : Database.t;
-  snapshot_seq : int;
-  replayed : int;
-  last_seq : int;
-  wal_valid_bytes : int;
-  corruption : corruption option;
-}
+type legacy = { db : Database.t; wal_seq : int; corruption : corruption option }
 
-(* Any exception from replaying an op ends the usable prefix with a
-   structured corruption record — including exceptions outside the
-   expected store/parse family, which previously escaped as-is and
-   could kill a replica apply loop with a bare [Assert_failure]. *)
-let replay_failure_reason = function
+let parse_op payload =
+  match payload_of_string ~line:0 payload with
+  | op -> Ok op
+  | exception Dump.Parse_error { message; _ } -> Error message
+
+(* Expected failures carry their own message; anything else is
+   reported by name, never re-raised. *)
+let replay_failure = function
   | Database.Store_error m -> m
   | Dump.Parse_error { message; _ } -> message
   | Wal_error m -> m
   | Error.E err -> Error.message err
   | exn -> Fmt.str "unexpected exception during replay: %s" (Printexc.to_string exn)
 
-(* The replay loop, driven record-at-a-time off a cursor so that file
-   recovery never materializes the log: skip records the snapshot
-   already contains, refuse gaps between snapshot and log, and treat
-   an op that fails to apply as the end of the usable prefix —
-   recovery reports, it does not raise. *)
-let recover_cursor ?load_schema ~schema ?snapshot cur =
+(* Skip records the snapshot already contains, refuse a gap between
+   snapshot and log, and treat a torn, corrupt or failing record as the
+   end of the usable prefix — the fold reports, it does not raise. *)
+let fold_legacy ?load_schema ~schema ?snapshot ?(wal = "") () =
   let db = Database.create schema in
   let snapshot_seq =
     match snapshot with
@@ -512,84 +512,23 @@ let recover_cursor ?load_schema ~schema ?snapshot cur =
         ignore (Dump.load_into db text);
         Dump.wal_seq text
   in
-  let rec run ~replayed ~last_seq ~valid =
+  let cur = cursor_of_string ~magic:'w' ~parse:parse_op wal in
+  let rec run last valid =
+    let stop at_seq reason =
+      { db; wal_seq = last; corruption = Some { at_seq; offset = valid; reason } }
+    in
     match cursor_next cur with
     | End_of_input ->
-        let corruption =
-          if cursor_pending cur then Some (torn_corruption cur) else None
-        in
-        (replayed, last_seq, valid, corruption)
-    | Corrupt corruption -> (replayed, last_seq, valid, Some corruption)
-    | Record e when e.fseq <= snapshot_seq ->
-        run ~replayed ~last_seq ~valid:e.fends_at
-    | Record e ->
-        if e.fseq <> last_seq + 1 then
-          ( replayed,
-            last_seq,
-            valid,
-            Some
-              { at_seq = last_seq + 1;
-                offset = valid;
-                reason =
-                  Fmt.str "sequence gap: recovered to %d, log resumes at %d"
-                    last_seq e.fseq
-              } )
-        else (
-          match apply ?load_schema db e.fvalue with
-          | () -> run ~replayed:(replayed + 1) ~last_seq:e.fseq ~valid:e.fends_at
-          | exception exn ->
-              ( replayed,
-                last_seq,
-                valid,
-                Some
-                  { at_seq = e.fseq;
-                    offset = valid;
-                    reason = replay_failure_reason exn
-                  } ))
+        let corruption = if cursor_pending cur then Some (torn_corruption cur) else None in
+        { db; wal_seq = last; corruption }
+    | Corrupt corruption -> { db; wal_seq = last; corruption = Some corruption }
+    | Record e when e.fseq <= snapshot_seq -> run last e.fends_at
+    | Record e when e.fseq <> last + 1 ->
+        stop (last + 1)
+          (Fmt.str "sequence gap: recovered to %d, log resumes at %d" last e.fseq)
+    | Record e -> (
+        match apply ?load_schema db e.fvalue with
+        | () -> run e.fseq e.fends_at
+        | exception exn -> stop e.fseq (replay_failure exn))
   in
-  let replayed, last_seq, wal_valid_bytes, corruption =
-    run ~replayed:0 ~last_seq:snapshot_seq ~valid:0
-  in
-  { db; snapshot_seq; replayed; last_seq; wal_valid_bytes; corruption }
-
-let recover_text_uninstrumented ?load_schema ~schema ?snapshot ?wal () =
-  let cur =
-    cursor_of_string ~magic:'w' ~parse:parse_op (Option.value wal ~default:"")
-  in
-  recover_cursor ?load_schema ~schema ?snapshot cur
-
-let recover_text ?load_schema ~schema ?snapshot ?wal () =
-  Obs.Metrics.time m_replay_ns (fun () ->
-      Obs.Trace.with_span "wal.recover" (fun () ->
-          let r =
-            recover_text_uninstrumented ?load_schema ~schema ?snapshot ?wal ()
-          in
-          Obs.Metrics.add m_replay_ops r.replayed;
-          r))
-
-(* File recovery streams the WAL through a bounded cursor buffer (the
-   snapshot is still loaded whole: it is a dump, not a log). *)
-let recover ?load_schema ~schema ~snapshot_path ~wal_path () =
-  Obs.Metrics.time m_replay_ns (fun () ->
-      Obs.Trace.with_span "wal.recover" (fun () ->
-          let snapshot =
-            if Sys.file_exists snapshot_path then Some (read_file snapshot_path)
-            else None
-          in
-          let with_wal_cursor k =
-            if not (Sys.file_exists wal_path) then
-              k (cursor_of_string ~magic:'w' ~parse:parse_op "")
-            else begin
-              let ic = open_in_bin wal_path in
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () ->
-                  k (cursor ~magic:'w' ~parse:parse_op (input ic)))
-            end
-          in
-          let r =
-            with_wal_cursor (fun cur ->
-                recover_cursor ?load_schema ~schema ?snapshot cur)
-          in
-          Obs.Metrics.add m_replay_ops r.replayed;
-          r))
+  run snapshot_seq 0

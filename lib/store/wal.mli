@@ -1,12 +1,21 @@
-(** Write-ahead log and crash recovery for {!Database}.
+(** Log framing, the op payload grammar, and the legacy [wal.log]
+    fold.
 
-    The WAL is an append-only text file, one record per line:
+    A store directory has one durable log, [txn.log] ({!Tdp_txn.Txn_log}),
+    one record per line:
 
-    {v w <seq> <crc32> <payload> v}
+    {v <magic> <seq> <crc32> <payload> v}
 
-    where [seq] is a 1-based, strictly consecutive sequence number,
-    [crc32] is the CRC-32 (IEEE, hex) of ["<seq> <payload>"], and the
-    payload uses the {!Dump} value grammar:
+    where [seq] is a 1-based, strictly consecutive sequence number and
+    [crc32] is the CRC-32 (IEEE, hex) of ["<seq> <payload>"].  Decoding
+    stops cleanly at the first torn or corrupt record: a log truncated
+    or bit-flipped at {e any} byte offset decodes to a prefix of the
+    appended records, never raising.  Mid-log holes are not tolerated —
+    a record that fails its checksum or breaks the sequence ends the
+    valid prefix even if later bytes happen to parse.
+
+    Ops travel in the {!Dump} value grammar, inside transaction records
+    and in [odb store append] scripts:
 
     {v
     new #<oid> <Type> <attr>=<value> …
@@ -15,15 +24,9 @@
     schema "<escaped surface source>"
     v}
 
-    A {!Database} with an attached {!writer} appends each validated
-    mutation {e before} applying it, so the log is always at least as
-    new as memory.  Recovery loads the latest snapshot ({!Dump.save}),
-    then replays the WAL, stopping cleanly at the first torn or corrupt
-    record: a log truncated or bit-flipped at {e any} byte offset
-    recovers to the state after some prefix of the committed
-    operations, never raising.  Mid-log holes are not tolerated — a
-    record that fails its checksum or breaks the sequence ends the
-    replayable prefix even if later bytes happen to parse. *)
+    Stores written before the one-log format also kept a [wal.log] of
+    bare ops (magic [w]).  Nothing writes one any more; {!fold_legacy}
+    is its only reader. *)
 
 open Tdp_core
 
@@ -34,23 +37,19 @@ exception Wal_error of string
     which is what the fault-injection suite leans on. *)
 val crc32 : string -> int
 
-(** [payload_to_string op] / [payload_of_string ~line s] — the record
-    payload grammar (without sequencing or checksum).  The same grammar
-    serves as the [odb store append] mutation-script syntax.
+(** [payload_to_string op] / [payload_of_string ~line s] — the op
+    grammar (without sequencing or checksum).
     @raise Dump.Parse_error on malformed payloads. *)
 val payload_to_string : Database.op -> string
 
 val payload_of_string : line:int -> string -> Database.op
 
-(** One full record line, trailing newline included. *)
-val encode : seq:int -> Database.op -> string
+(** {1 Framing}
 
-(** {1 Generic framing}
-
-    The [w <seq> <crc32> <payload>] line format, generalized over the
-    record magic and payload grammar, so other prefix-commit logs (the
-    {!Tdp_txn} transaction log, magic [t]) reuse the same CRC'd,
-    torn-tail-tolerant framing and recovery discipline. *)
+    The [<magic> <seq> <crc32> <payload>] line format, generic over the
+    record magic and payload grammar: the transaction log (magic [t])
+    and the legacy fold (magic [w]) share one CRC'd, torn-tail-tolerant
+    framing and recovery discipline. *)
 
 (** One framed record line ([magic] must not be whitespace). *)
 val encode_line : magic:char -> seq:int -> string -> string
@@ -61,32 +60,24 @@ type corruption = {
   reason : string;
 }
 
-type entry = { seq : int; op : Database.op; ends_at : int (** byte offset just past this record *) }
-
-type decoded = {
-  entries : entry list;  (** the valid prefix, in log order *)
-  next_seq : int;  (** sequence number the next appended record should carry *)
-  valid_bytes : int;  (** length of the valid prefix, in bytes *)
-  corruption : corruption option;  (** why decoding stopped, if early *)
+type 'a framed = {
+  fseq : int;
+  fvalue : 'a;
+  fends_at : int;  (** byte offset just past this record *)
 }
-
-(** Decode a WAL image down to its valid prefix.  Never raises: torn
-    tails, checksum failures, unparsable lines and sequence breaks all
-    just end the prefix and are reported as [corruption]. *)
-val decode : string -> decoded
-
-type 'a framed = { fseq : int; fvalue : 'a; fends_at : int }
 
 type 'a framed_decoded = {
-  fentries : 'a framed list;
-  fnext_seq : int;
-  fvalid_bytes : int;
-  fcorruption : corruption option;
+  fentries : 'a framed list;  (** the valid prefix, in log order *)
+  fnext_seq : int;  (** sequence number the next appended record should carry *)
+  fvalid_bytes : int;  (** length of the valid prefix, in bytes *)
+  fcorruption : corruption option;  (** why decoding stopped, if early *)
 }
 
-(** {!decode}, generalized: decode any framed log down to its valid
-    prefix, parsing payloads with [parse] (whose [Error] ends the
-    prefix like a checksum failure).  Total on arbitrary bytes. *)
+(** Decode a framed log down to its valid prefix, parsing payloads with
+    [parse] (whose [Error] ends the prefix like a checksum failure).
+    Never raises: torn tails, checksum failures, unparsable lines and
+    sequence breaks all just end the prefix and are reported as
+    [fcorruption]. *)
 val decode_framed :
   magic:char -> parse:(string -> ('a, string) result) -> string -> 'a framed_decoded
 
@@ -95,7 +86,7 @@ val decode_framed :
     The framing above, record-at-a-time: a cursor frames records out
     of a bounded buffer refilled on demand, so decoding a log costs
     O(longest record) memory, never O(file).  {!decode_framed},
-    {!recover}, and the replica {!tail} below all run on this one
+    {!fold_legacy}, and the replica {!tail} below all run on this one
     cursor — their torn-tail semantics are identical by
     construction. *)
 
@@ -160,7 +151,7 @@ type 'a tail_step =
       (** the file shrank below the consumed offset — the primary
           checkpointed; reopen from offset 0 with the same expected
           seq (the fresh log resumes one past the checkpoint) *)
-  | Halted of corruption  (** sticky, exactly as in {!decode} *)
+  | Halted of corruption  (** sticky, exactly as in {!decode_framed} *)
 
 (** Open [path] for tailing from [offset] (default 0); [next_seq] pins
     the first expected sequence number when resuming.
@@ -183,28 +174,42 @@ val tail_next_seq : _ tail -> int
 val tail_expected : _ tail -> int option
 val tail_close : _ tail -> unit
 
-(** Truncate the file at [path] to its first [valid_bytes] bytes —
-    repair after a torn append, before appending again. *)
-val repair : path:string -> int -> unit
+(** {1 Appending}
 
-(** {1 Appending} *)
+    One writer per log file: opening a writer takes an exclusive
+    [lockf] lock on the file, and {!close} releases it.  Locks belong to
+    the process, so the lock keeps a second process out, not a second
+    writer in the same process — and closing {e any} descriptor the
+    process holds on the file drops it. *)
 
 type writer
 
-(** Create (truncate) a WAL at [path].  [sync] (default [true]) fsyncs
-    once per append call (one record, or one {!append_batch});
-    [magic] (default ['w']) is the record magic for layered log
-    formats.  The parent directory is fsync'd so the file's creation is
-    itself durable. *)
-val writer_create :
-  ?sync:bool -> ?magic:char -> path:string -> next_seq:int -> unit -> writer
+(** Open (or create) [path] for appending and lock it.  The writer
+    numbers from 1 and treats the whole file as its durable prefix
+    until {!reset}; appending after an unrepaired corrupt tail produces
+    an unreadable log, so {!reset} to the valid prefix first.  [sync]
+    (default [true]) fsyncs once per append call.  The parent directory
+    is fsync'd so the file's creation is itself durable.
+    @raise Database.Store_error when another process holds the lock
+    ("store DIR is in use by another process"). *)
+val writer_open : ?sync:bool -> magic:char -> path:string -> unit -> writer
 
-(** Open an existing WAL for appending.  The caller supplies
-    [next_seq], normally [last_seq + 1] from a preceding {!recover};
-    appending after an unrepaired corrupt tail produces an unreadable
-    log, so {!repair} first. *)
-val writer_open :
-  ?sync:bool -> ?magic:char -> path:string -> next_seq:int -> unit -> writer
+(** The file's current contents, read through the writer's own
+    descriptor — reading through another descriptor and closing it
+    would drop the lock. *)
+val contents : writer -> string
+
+(** {!writer_open}, then {!reset} to an empty file numbering from
+    [next_seq] — the lock is taken before anything is truncated. *)
+val writer_create :
+  ?sync:bool -> magic:char -> path:string -> next_seq:int -> unit -> writer
+
+(** Truncate the file to its first [valid_bytes] bytes (when longer;
+    fsync'd) and continue numbering at [next_seq]: the repair of a torn
+    tail, and a checkpoint's truncation.  Done in place on the locked
+    descriptor, so the lock is never dropped.  Clears poisoning: the
+    file is in a known state afterwards. *)
+val reset : writer -> valid_bytes:int -> next_seq:int -> unit
 
 (** Frame raw payloads with consecutive sequence numbers and append
     them; returns the first sequence number.  The framed batch reaches
@@ -217,14 +222,10 @@ val writer_open :
     failed append rolls the file back to the previous batch boundary
     (best-effort, with [ftruncate]) and {e poisons} the writer — every
     later append raises {!Wal_error} instead of writing records that a
-    torn tail would make unreachable or that would gap the sequence.
-    Recover the path with {!repair} and a fresh writer. *)
+    torn tail would make unreachable or that would gap the sequence. *)
 val append_batch : writer -> string list -> int
 
-(** Append one record — a batch of one; returns its sequence number. *)
-val append : writer -> Database.op -> int
-
-(** {!append} for layered formats: frame and append a raw payload. *)
+(** Frame and append one raw payload — a batch of one. *)
 val append_payload : writer -> string -> int
 
 val writer_seq : writer -> int
@@ -236,50 +237,39 @@ val writer_poisoned : writer -> bool
     tests can sabotage the fd and exercise the poisoning path. *)
 val writer_fd : writer -> Unix.file_descr
 
-(** Journal every subsequent mutation of [db] through [w] — the
-    journaling mode: append durably first, mutate second.  Detach with
-    [Database.set_journal db None]. *)
-val attach : writer -> Database.t -> unit
-
+(** Close the descriptor, releasing the lock. *)
 val close : writer -> unit
 
-(** {1 Replay and recovery} *)
+(** {1 The legacy fold} *)
 
-(** Apply one logged op to a database.  [load_schema] elaborates the
-    surface source of a [schema] record; without it, such a record
-    raises {!Wal_error}.
+(** Apply one op to a database.  [load_schema] elaborates the surface
+    source of a [schema] op; without it, such an op raises
+    {!Wal_error}.
     @raise Database.Store_error when the op does not validate. *)
 val apply : ?load_schema:(string -> Schema.t) -> Database.t -> Database.op -> unit
 
-type recovery = {
-  db : Database.t;
-  snapshot_seq : int;  (** wal-seq header of the snapshot, 0 if none *)
-  replayed : int;  (** WAL records applied on top of the snapshot *)
-  last_seq : int;  (** last applied sequence number (snapshot included) *)
-  wal_valid_bytes : int;  (** prefix length to keep when repairing *)
-  corruption : corruption option;
+(** Why replaying an op failed: a store, parse, log or schema error's
+    own message, any other exception by name.  Replay ends the usable
+    prefix with it instead of raising. *)
+val replay_failure : exn -> string
+
+type legacy = {
+  db : Database.t;  (** snapshot plus the valid [wal.log] prefix *)
+  wal_seq : int;  (** last [wal.log] seq folded (the snapshot's [wal-seq] if none) *)
+  corruption : corruption option;  (** why the fold stopped early, if it did *)
 }
 
-(** Recover a database from snapshot and WAL {e contents}.  Loads the
-    snapshot into a fresh database over [schema], then replays every
-    WAL record with [snapshot_seq < seq], in order, stopping at the
-    first corrupt record or failing op.  Total for arbitrary [wal]
-    bytes — decoding and replay failures end the prefix instead of
-    raising (snapshot parse errors still raise: snapshots are written
-    atomically and a bad one is real damage, not a torn tail). *)
-val recover_text :
+(** Fold a pre-one-log store's snapshot and [wal.log] {e contents}:
+    load the snapshot into a fresh database over [schema], then apply
+    every [w] record with [wal-seq < seq], in order, stopping at the
+    first torn, corrupt, out-of-sequence or failing record.  Total for
+    arbitrary [wal] bytes (snapshot parse errors still raise: snapshots
+    are written atomically and a bad one is real damage, not a torn
+    tail).  Without [wal] this is just the snapshot load. *)
+val fold_legacy :
   ?load_schema:(string -> Schema.t) ->
   schema:Schema.t ->
   ?snapshot:string ->
   ?wal:string ->
   unit ->
-  recovery
-
-(** {!recover_text} over files; either file may be absent. *)
-val recover :
-  ?load_schema:(string -> Schema.t) ->
-  schema:Schema.t ->
-  snapshot_path:string ->
-  wal_path:string ->
-  unit ->
-  recovery
+  legacy

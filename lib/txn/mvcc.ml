@@ -293,15 +293,16 @@ let writes_conflict a b =
 
 (* ---- the store ----------------------------------------------------- *)
 
-(* How many committed write sets a branch retains for first-writer-wins
-   checks.  A transaction whose base predates the retained window
-   aborts conservatively. *)
+(* How many committed write sets a branch retains, at least, for
+   first-writer-wins checks.  A transaction whose base predates the
+   retained window aborts conservatively. *)
 let recent_limit = 1024
 
-(* [head] is read lock-free; [recent] and [floor] only under the lock. *)
+(* [head] is read lock-free; the write-set history only under the lock. *)
 type branch = {
   head : snapshot Atomic.t;
   mutable recent : (int * writes) list;  (* newest first *)
+  mutable n_recent : int;  (* List.length recent *)
   mutable floor : int;  (* write sets of versions <= floor were discarded *)
 }
 
@@ -313,8 +314,6 @@ type t = {
   mutable writer : Wal.writer option;
   load_schema : (string -> Schema.t) option;
   mutable dir : string option;
-  mutable wal_seq : int;  (* last wal.log record folded into the base state *)
-  sync : bool;
   closed : bool Atomic.t;
 }
 
@@ -329,13 +328,13 @@ let find_branch t name =
   | None -> fail "unknown branch %s" name
 
 let new_branch (head : snapshot) =
-  { head = Atomic.make head; recent = []; floor = head.version }
+  { head = Atomic.make head; recent = []; n_recent = 0; floor = head.version }
 
 (* Add a branch; the caller holds the lock, the only writer of the table. *)
 let add_branch t name head =
   Atomic.set t.branches (String_map.add name (new_branch head) (Atomic.get t.branches))
 
-let make ?load_schema ?(sync = true) (base : snapshot) =
+let make ?load_schema (base : snapshot) =
   { lock = Mutex.create ();
     version = base.version;
     next_txid = 1;
@@ -343,8 +342,6 @@ let make ?load_schema ?(sync = true) (base : snapshot) =
     writer = None;
     load_schema;
     dir = None;
-    wal_seq = 0;
-    sync;
     closed = Atomic.make false
   }
 
@@ -460,28 +457,23 @@ let check_open txn =
 (* Validate against the overlay and stage.  A failing op raises and
    leaves the transaction untouched (still open, overlay unchanged). *)
 let stage txn op =
+  check_open txn;
   let overlay = apply ?load_schema:txn.store.load_schema txn.overlay op in
   txn.overlay <- overlay;
   txn.ops <- op :: txn.ops;
   txn.writes <- writes_add txn.writes op
 
 let new_object txn ty ~init =
-  check_open txn;
   let oid = Oid.of_int txn.overlay.next_oid in
   stage txn (Database.Op_new { oid; ty; init });
   oid
 
-let set_attr txn oid attr value =
-  check_open txn;
-  stage txn (Database.Op_set { oid; attr; value })
+let set_attr txn oid attr value = stage txn (Database.Op_set { oid; attr; value })
 
 let delete txn ?(policy = Database.Restrict) oid =
-  check_open txn;
   stage txn (Database.Op_delete { oid; policy })
 
-let set_schema txn ~source =
-  check_open txn;
-  stage txn (Database.Op_set_schema { source })
+let set_schema txn ~source = stage txn (Database.Op_set_schema { source })
 
 (* Abort records are audit trail, not correctness: losers never logged
    their ops (brackets are written only at commit), so replay needs no
@@ -521,19 +513,22 @@ let first_writer_wins br txn =
           txn.base.version)
       clash
 
+(* The history is cut back to [recent_limit] entries only once it
+   reaches twice that, so a commit pays amortized O(1) for it (not a
+   rebuild of [recent_limit] cells under the lock) and the window never
+   holds fewer than [recent_limit] versions. *)
 let trim_recent br =
-  let rec take n = function
-    | [] -> ([], [])
-    | rest when n = 0 -> ([], rest)
-    | x :: tl ->
-        let kept, dropped = take (n - 1) tl in
-        (x :: kept, dropped)
-  in
-  match take recent_limit br.recent with
-  | _, [] -> ()
-  | kept, (v, _) :: _ ->
-      br.recent <- kept;
-      br.floor <- v
+  if br.n_recent >= 2 * recent_limit then begin
+    let rec take n = function
+      | (v, _) :: _ when n = 0 ->
+          br.floor <- v;
+          []
+      | x :: tl -> x :: take (n - 1) tl
+      | [] -> []
+    in
+    br.recent <- take recent_limit br.recent;
+    br.n_recent <- recent_limit
+  end
 
 (* Stamp [snap] with the next version and make it [br]'s head,
    recording its write set.  The caller holds the store lock. *)
@@ -542,6 +537,7 @@ let install t br writes snap =
   t.version <- v;
   Atomic.set br.head { snap with version = v };
   br.recent <- (v, writes) :: br.recent;
+  br.n_recent <- br.n_recent + 1;
   trim_recent br;
   v
 
@@ -614,12 +610,12 @@ let commit txn =
 
 (* ---- replication support ------------------------------------------- *)
 
-(* A replica applies the primary's plain wal.log ops outside any
-   transaction: it validates each against its current head with
-   [apply_op] and installs the successor with [publish] (txn.log goes
-   through the replayer below).  Publication still maintains the
-   per-branch write-set history, so local read-only transactions (and a
-   post-promotion switch to writes) see a coherent store. *)
+(* The transaction-log replayer below applies committed brackets
+   outside any transaction: it validates their ops against the branch
+   head with [apply_op] and installs the successor with [publish].
+   Publication still maintains the per-branch write-set history, so
+   local read-only transactions (and a post-promotion switch to writes)
+   see a coherent store. *)
 
 let apply_op t s op = apply ?load_schema:t.load_schema s op
 
@@ -628,10 +624,8 @@ let publish t ~branch ~ops snap =
       check_live t;
       install t (find_branch t branch) (List.fold_left writes_add no_writes ops) snap)
 
-let log_seqs t =
-  locked t (fun () ->
-      ( t.wal_seq,
-        match t.writer with Some w -> Wal.writer_seq w - 1 | None -> 0 ))
+let log_seq t =
+  locked t (fun () -> match t.writer with Some w -> Wal.writer_seq w - 1 | None -> 0)
 
 let log_writer t = locked t (fun () -> t.writer)
 
@@ -655,15 +649,6 @@ type replay_stop = { stop_seq : int; stop_reason : string }
 
 let replay_start t = { r_store = t; brackets = Hashtbl.create 8 }
 let open_brackets r = Hashtbl.fold (fun _ b acc -> b.b_seq :: acc) r.brackets []
-
-(* Expected failures carry their own message; anything else is
-   reported by name, never re-raised. *)
-let replay_failure = function
-  | Database.Store_error m -> m
-  | Dump.Parse_error { message; _ } -> message
-  | Wal.Wal_error m -> m
-  | Error.E err -> Error.message err
-  | exn -> Fmt.str "unexpected exception during replay: %s" (Printexc.to_string exn)
 
 let replay_record r (e : Txn_log.record Wal.framed) =
   let t = r.r_store in
@@ -717,7 +702,7 @@ let replay_record r (e : Txn_log.record Wal.framed) =
               Ok ()
           | exception exn ->
               stop ~seq:b.b_seq "replayed transaction no longer applies: %s"
-                (replay_failure exn)))
+                (Wal.replay_failure exn)))
 
 (* ---- branches ------------------------------------------------------ *)
 
@@ -738,8 +723,6 @@ let fork t ~from_ ~branch =
 
 type opened = {
   store : t;
-  wal_replayed : int;
-  wal_corruption : Wal.corruption option;
   txn_applied : int;  (** committed transactions replayed *)
   txn_discarded : int;  (** dangling begin..op brackets dropped *)
   txn_corruption : Wal.corruption option;
@@ -756,16 +739,13 @@ let offset_of_seq entries seq =
   in
   go 0 entries
 
-let recover_text ?load_schema ?(sync = true) ~schema ?snapshot ?wal ?txn () =
-  let wal_rec = Wal.recover_text ?load_schema ~schema ?snapshot ?wal () in
-  let base = snapshot_of_database wal_rec.Wal.db ~version:0 in
-  let t = make ?load_schema ~sync base in
-  t.wal_seq <- wal_rec.Wal.last_seq;
-  let base_seq = match snapshot with Some s -> Dump.txn_seq s | None -> 0 in
-  let d = Txn_log.decode (Option.value ~default:"" txn) in
+(* Replay [txn] over the base state: records the snapshot already
+   absorbed ([txn-seq] header, [base_seq]) are skipped, and a replay
+   stop ends the replayable prefix exactly like a checksum failure. *)
+let replay_log ?load_schema ~base_seq (base : Database.t) txn =
+  let t = make ?load_schema (snapshot_of_database base ~version:0) in
+  let d = Txn_log.decode txn in
   let r = replay_start t in
-  (* Records the snapshot already absorbed are skipped; a replay stop
-     ends the replayable prefix exactly like a checksum failure. *)
   let rec go = function
     | [] -> Ok ()
     | (e : Txn_log.record Wal.framed) :: rest -> (
@@ -784,8 +764,6 @@ let recover_text ?load_schema ?(sync = true) ~schema ?snapshot ?wal ?txn () =
      recovery would skip them as already-in-snapshot. *)
   let next_seq = max next_seq (base_seq + 1) in
   { store = t;
-    wal_replayed = wal_rec.Wal.replayed;
-    wal_corruption = wal_rec.Wal.corruption;
     (* the base is version 0 and each replayed bracket publishes one *)
     txn_applied = t.version;
     txn_discarded = List.length (open_brackets r);
@@ -794,6 +772,11 @@ let recover_text ?load_schema ?(sync = true) ~schema ?snapshot ?wal ?txn () =
     txn_next_seq = next_seq;
     tmp_removed = false
   }
+
+let recover_text ?load_schema ~schema ?snapshot ?wal ?(txn = "") () =
+  let legacy = Wal.fold_legacy ?load_schema ~schema ?snapshot ?wal () in
+  let base_seq = Option.fold ~none:0 ~some:Dump.txn_seq snapshot in
+  replay_log ?load_schema ~base_seq legacy.Wal.db txn
 
 let snapshot_file = "snapshot.dump"
 let wal_file = "wal.log"
@@ -805,64 +788,61 @@ let read_file path =
   else None
 
 let open_dir ?load_schema ?(sync = true) ~schema dir =
-  let snap_path = Filename.concat dir snapshot_file in
-  let txn_path = Filename.concat dir txn_file in
-  (* A crash between temp-write and rename leaves an orphaned .tmp
-     sibling; it is never read as a snapshot, only removed. *)
-  let tmp_removed = Dump.clean_tmp ~path:snap_path in
-  let snapshot = read_file snap_path in
-  let wal = read_file (Filename.concat dir wal_file) in
-  let txn = read_file txn_path in
-  let o = recover_text ?load_schema ~sync ~schema ?snapshot ?wal ?txn () in
-  (* Repair a torn transaction-log tail before appending over it. *)
-  (match o.txn_corruption with
-  | Some _ when Sys.file_exists txn_path -> Wal.repair ~path:txn_path o.txn_valid_bytes
-  | _ -> ());
-  let writer =
-    if Sys.file_exists txn_path then
-      Txn_log.writer_open ~sync ~path:txn_path ~next_seq:o.txn_next_seq ()
-    else Txn_log.writer_create ~sync ~path:txn_path ~next_seq:o.txn_next_seq ()
-  in
-  o.store.writer <- Some writer;
-  o.store.dir <- Some dir;
-  { o with tmp_removed }
+  let in_dir = Filename.concat dir in
+  let snap_path = in_dir snapshot_file and wal_path = in_dir wal_file in
+  (* The lock comes first: nothing below may read, repair or rewrite a
+     directory another process is writing. *)
+  let writer = Txn_log.writer_open ~sync ~path:(in_dir txn_file) () in
+  match
+    (* A crash between temp-write and rename leaves an orphaned .tmp
+       sibling; it is never read as a snapshot, only removed. *)
+    let tmp_removed = Dump.clean_tmp ~path:snap_path in
+    let snapshot = read_file snap_path and wal = read_file wal_path in
+    let txn = Wal.contents writer in
+    let base = Wal.fold_legacy ?load_schema ~schema ?snapshot ?wal () in
+    let base_seq = Option.fold ~none:0 ~some:Dump.txn_seq snapshot in
+    if wal <> None then begin
+      (* A store from before the one-log format: fold its wal.log into
+         the snapshot once, then drop it.  The folded snapshot names
+         the last record it took ([wal-seq]), so a crash before the
+         removal folds nothing twice. *)
+      if base.wal_seq > Option.fold ~none:0 ~some:Dump.wal_seq snapshot then
+        Dump.save ~wal_seq:base.wal_seq ~txn_seq:base_seq ~path:snap_path base.db;
+      Sys.remove wal_path;
+      Dump.fsync_dir dir
+    end;
+    let o = replay_log ?load_schema ~base_seq base.db txn in
+    (* Cut a torn or damaged tail before appending over it. *)
+    Wal.reset writer ~valid_bytes:o.txn_valid_bytes ~next_seq:o.txn_next_seq;
+    o.store.writer <- Some writer;
+    o.store.dir <- Some dir;
+    { o with tmp_removed }
+  with
+  | o -> o
+  | exception exn ->
+      Wal.close writer;
+      raise exn
 
 (* ---- checkpoint and close ------------------------------------------ *)
 
 let checkpoint t =
   locked t (fun () ->
       check_live t;
-      match t.dir with
-      | None -> fail "checkpoint requires a directory-backed store"
-      | Some dir ->
+      match (t.dir, t.writer) with
+      | None, _ | _, None -> fail "checkpoint requires a directory-backed store"
+      | Some dir, Some w ->
           let table = Atomic.get t.branches in
           if String_map.cardinal table > 1 then
             fail "checkpoint requires a single branch (%d exist)"
               (String_map.cardinal table);
           let head = Atomic.get (String_map.find main_branch table).head in
-          let txn_seq =
-            match t.writer with Some w -> Wal.writer_seq w - 1 | None -> 0
-          in
-          (* The snapshot lands atomically with cursor headers naming
+          let txn_seq = Wal.writer_seq w - 1 in
+          (* The snapshot lands atomically with a [txn-seq] header naming
              the log records it absorbs; replay skips those, so a crash
-             anywhere between the rename and the truncations below
+             anywhere between the rename and the truncation below
              recovers to exactly this state. *)
-          Dump.save ~wal_seq:t.wal_seq ~txn_seq
-            ~path:(Filename.concat dir snapshot_file)
-            (to_database head);
-          let wal_path = Filename.concat dir wal_file in
-          if Sys.file_exists wal_path then
-            Wal.close
-              (Wal.writer_create ~sync:false ~path:wal_path ~next_seq:(t.wal_seq + 1) ());
-          (match t.writer with
-          | None -> ()
-          | Some w ->
-              Wal.close w;
-              t.writer <-
-                Some
-                  (Txn_log.writer_create ~sync:t.sync
-                     ~path:(Filename.concat dir txn_file)
-                     ~next_seq:(txn_seq + 1) ())))
+          Dump.save ~txn_seq ~path:(Filename.concat dir snapshot_file) (to_database head);
+          Wal.reset w ~valid_bytes:0 ~next_seq:(txn_seq + 1))
 
 let close t =
   locked t (fun () ->

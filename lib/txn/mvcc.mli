@@ -139,6 +139,11 @@ val set_attr : txn -> Oid.t -> Attr_name.t -> Value.t -> unit
 val delete : txn -> ?policy:Database.delete_policy -> Oid.t -> unit
 val set_schema : txn -> source:string -> unit
 
+(** Stage any op as given — an [Op_new] keeps its OID rather than
+    allocating one ([odb store append] scripts name their OIDs).  Same
+    validation and failure behaviour as the ops above. *)
+val stage : txn -> Database.op -> unit
+
 (** First-writer-wins commit.  [Ok v] published version [v];
     [Error (Conflict _)] aborted on a write-set or revalidation
     conflict (a conflict {e is} an abort: the transaction is dead and
@@ -154,27 +159,17 @@ val abort : ?reason:string -> txn -> unit
 
 (** {1 Replication support}
 
-    A log-shipping replica ({!Tdp_replica}) applies the primary's logs
-    outside any transaction.  Plain [wal.log] ops go through
-    {!apply_op} and {!publish}; [txn.log] records go through the same
+    A log-shipping replica ({!Tdp_replica}) applies the primary's
+    [txn.log] outside any transaction, through the same
     {!replay_record} recovery uses, so a replica and a restarted
-    primary turn one log prefix into the same branch states.  Both
-    maintain the per-branch version and write-set history commits
+    primary turn one log prefix into the same branch states.  Replay
+    maintains the per-branch version and write-set history commits
     do. *)
 
 (** Validate and apply one op against a snapshot, returning the
-    successor (version unchanged until {!publish}).
+    successor (same version; nothing is published).
     @raise Database.Store_error when the op does not validate. *)
 val apply_op : t -> snapshot -> Database.op -> snapshot
-
-(** Install [snap] as the head of [branch] under the store lock and
-    stamp it with the next version, recording [ops]' write set for
-    first-writer-wins history; returns the published version. *)
-val publish : t -> branch:string -> ops:Database.op list -> snapshot -> int
-
-(** Why replaying an op failed: a store, parse, log or schema error's
-    own message, any other exception by name. *)
-val replay_failure : exn -> string
 
 (** An incremental transaction-log replayer over one store. *)
 type replay
@@ -200,11 +195,10 @@ val replay_record : replay -> Txn_log.record Wal.framed -> (unit, replay_stop) r
     dangling brackets a crash mid-commit leaves, never published. *)
 val open_brackets : replay -> int list
 
-(** The last durable (wal seq, txn seq) this store has absorbed: the
-    wal.log record folded into the base plus the transaction-log
-    writer position (0 without a writer).  What the [seq] protocol
-    verb reports on a primary. *)
-val log_seqs : t -> int * int
+(** The last durable transaction-log seq this store has written (0
+    without a writer) — what the [seq] protocol verb reports on a
+    primary. *)
+val log_seq : t -> int
 
 (** The transaction-log writer, if any — exposed so fault-injection
     tests can sabotage it and exercise a failed commit append. *)
@@ -212,17 +206,16 @@ val log_writer : t -> Wal.writer option
 
 (** {1 Durability and recovery} *)
 
-(** The files of a store directory: the atomic snapshot, the plain
-    write-ahead log and the transaction log. *)
+(** The files of a store directory: the atomic snapshot, the
+    transaction log, and the retired [wal.log] an older store may still
+    hold (folded into the snapshot on the first writable open). *)
 val snapshot_file : string
 
-val wal_file : string
 val txn_file : string
+val wal_file : string
 
 type opened = {
   store : t;
-  wal_replayed : int;  (** plain WAL records applied under the base *)
-  wal_corruption : Wal.corruption option;
   txn_applied : int;  (** committed transactions replayed *)
   txn_discarded : int;  (** dangling begin..op brackets dropped *)
   txn_corruption : Wal.corruption option;
@@ -231,14 +224,15 @@ type opened = {
   tmp_removed : bool;  (** an orphaned snapshot [.tmp] was cleaned up *)
 }
 
-(** Recover a store from snapshot / WAL / transaction-log {e contents}:
-    base state via {!Wal.recover_text}, then {!replay_record} over
-    every record above the snapshot's [txn-seq] header.  Total on
-    arbitrary [txn] bytes — corruption and a {!replay_stop} both end
-    the replayable prefix; dangling brackets are discarded. *)
+(** Recover a store from snapshot / legacy [wal.log] / transaction-log
+    {e contents}: the base state is {!Wal.fold_legacy} of the snapshot
+    and [wal] (just the snapshot without one), then {!replay_record}
+    runs over every record above the snapshot's [txn-seq] header.
+    Total on arbitrary [wal] and [txn] bytes — corruption and a
+    {!replay_stop} both end the replayable prefix; dangling brackets
+    are discarded.  Reads only: nothing is written. *)
 val recover_text :
   ?load_schema:(string -> Schema.t) ->
-  ?sync:bool ->
   schema:Schema.t ->
   ?snapshot:string ->
   ?wal:string ->
@@ -246,12 +240,20 @@ val recover_text :
   unit ->
   opened
 
-(** Open a durable store directory ([snapshot.dump], [wal.log],
-    [txn.log]; any may be absent): removes an orphaned snapshot
-    [.tmp], recovers, repairs a torn transaction-log tail, and attaches
-    a transaction-log writer ([sync] defaults to one fsync per append:
+(** Open a durable store directory ([snapshot.dump], [txn.log]; either
+    may be absent) for writing.  Locks [txn.log] first (one writer per
+    directory), then removes an orphaned snapshot [.tmp], recovers,
+    repairs a torn transaction-log tail, and keeps the locked
+    transaction-log writer ([sync] defaults to one fsync per append:
     per commit bracket, abort or fork record).  Subsequent commits are
-    write-ahead logged into [DIR/txn.log]. *)
+    write-ahead logged into [DIR/txn.log].
+
+    A legacy [wal.log] is folded once: the folded base is saved with
+    {!Tdp_store.Dump.save} (its [wal-seq] header names the last record
+    taken, its [txn-seq] is kept), then [wal.log] is removed.  A crash
+    between the two folds nothing twice.
+    @raise Database.Store_error when another process holds the
+    directory ("store DIR is in use by another process"). *)
 val open_dir :
   ?load_schema:(string -> Schema.t) ->
   ?sync:bool ->
@@ -259,12 +261,13 @@ val open_dir :
   string ->
   opened
 
-(** Fold the current [main] head into a fresh atomic snapshot (with
-    [wal-seq]/[txn-seq] cursor headers) and truncate both logs.  Crash
-    safe at every point: replay skips records the snapshot already
-    absorbed.  @raise Database.Store_error on a memory-only store or
-    when more than one branch exists. *)
+(** Fold the current [main] head into a fresh atomic snapshot (with a
+    [txn-seq] cursor header) and truncate the log in place, keeping its
+    lock.  Crash safe at every point: replay skips records the snapshot
+    already absorbed.  @raise Database.Store_error on a memory-only
+    store or when more than one branch exists. *)
 val checkpoint : t -> unit
 
-(** Close the log writer; later store operations fail. *)
+(** Close the log writer, releasing the directory lock; later store
+    operations fail. *)
 val close : t -> unit

@@ -136,8 +136,8 @@ let parse_request line : request =
    callbacks and refuses every mutating verb with a structured [err] —
    the session survives, so probing clients cost nothing. *)
 type replica_info = {
-  ri_seqs : unit -> int * int;  (** applied (wal seq, txn seq) *)
-  ri_lag : unit -> int * int;  (** bytes behind the primary, (wal, txn) *)
+  ri_seq : unit -> int;  (** applied txn.log seq *)
+  ri_lag : unit -> int;  (** txn.log bytes behind the primary *)
 }
 
 type mode = Read_write | Read_only of replica_info
@@ -343,17 +343,9 @@ let respond s (req : request) =
       let v = Mvcc.fork s.store ~from_ ~branch in
       Fmt.str "ok forked %s at %d" branch v
   | Seq ->
-      let wal, txn =
-        match s.smode with
-        | Read_only ri -> ri.ri_seqs ()
-        | Read_write -> Mvcc.log_seqs s.store
-      in
-      Fmt.str "ok wal %d txn %d" wal txn
-  | Lag ->
-      let wal, txn =
-        match s.smode with Read_only ri -> ri.ri_lag () | Read_write -> (0, 0)
-      in
-      Fmt.str "ok wal %d txn %d" wal txn
+      Fmt.str "ok txn %d"
+        (match s.smode with Read_only ri -> ri.ri_seq () | Read_write -> Mvcc.log_seq s.store)
+  | Lag -> Fmt.str "ok txn %d" (match s.smode with Read_only ri -> ri.ri_lag () | Read_write -> 0)
   | Eval source ->
       (* same outcomes and rendering as [odb repl]; statement-level
          failures are part of the payload (the session survives), and

@@ -34,8 +34,8 @@
     branches                       -> ok [name:version …]
     branch BRANCH                  -> ok branch BRANCH
     fork BRANCH [FROM]             -> ok forked BRANCH at <v>
-    seq                            -> ok wal <seq> txn <seq>
-    lag                            -> ok wal <bytes> txn <bytes>
+    seq                            -> ok txn <seq>
+    lag                            -> ok txn <bytes>
     eval "<statements>"            -> ok "<transcript>" | err "<transcript>"
     v}
 
@@ -65,15 +65,15 @@
     serves) refuses every mutating verb ([begin], [commit], [abort],
     [new], [set], [del], [schema], [fork]) with a structured [err] and
     answers [seq]/[lag] from the replica's shipping state.  On a
-    read-write server, [seq] reports the store's own durable log
-    positions and [lag] is always [0 0]. *)
+    read-write server, [seq] reports the store's own durable
+    transaction-log position and [lag] is always [0]. *)
 
 type t
 
 (** What a read-only server reports for the replica verbs. *)
 type replica_info = {
-  ri_seqs : unit -> int * int;  (** applied (wal seq, txn seq) *)
-  ri_lag : unit -> int * int;  (** bytes behind the primary, (wal, txn) *)
+  ri_seq : unit -> int;  (** applied txn.log seq *)
+  ri_lag : unit -> int;  (** txn.log bytes behind the primary *)
 }
 
 type mode = Read_write | Read_only of replica_info

@@ -2,10 +2,9 @@ module Database = Tdp_store.Database
 module Dump = Tdp_store.Dump
 module Wal = Tdp_store.Wal
 
-(* The transaction log is a second prefix-commit log next to wal.log,
-   layered on the Wal framing (magic 't' instead of 'w', its own
-   sequence space) with a payload grammar that wraps the Wal op grammar
-   in transaction brackets:
+(* The transaction log is the store's one durable log, layered on the
+   Wal framing (magic 't') with a payload grammar that wraps the Wal op
+   grammar in transaction brackets:
 
      begin <txid> <branch>
      op <txid> <wal-op-payload>
@@ -51,14 +50,23 @@ let txid_of_token line tok =
   | Some _ -> parse_fail line "non-positive txid %s" tok
   | None -> parse_fail line "bad txid %s" tok
 
+(* Op records dominate a log, so their "op <txid> " header is split off
+   by hand and only the op payload is tokenized. *)
 let payload_of_string ~line s : record =
+  if String.length s > 3 && s.[0] = 'o' && s.[1] = 'p' && s.[2] = ' ' then
+    match String.index_from_opt s 3 ' ' with
+    | Some sp ->
+        let op = String.sub s (sp + 1) (String.length s - sp - 1) in
+        Op
+          { txid = txid_of_token line (String.sub s 3 (sp - 3));
+            op = Wal.payload_of_string ~line op
+          }
+    | None -> parse_fail line "op record without an op"
+  else
   match Dump.tokens line s with
   | [ "begin"; txid; branch ] ->
       if not (valid_branch_name branch) then parse_fail line "bad branch name %s" branch;
       Begin { txid = txid_of_token line txid; branch }
-  | "op" :: txid :: rest ->
-      let payload = String.concat " " rest in
-      Op { txid = txid_of_token line txid; op = Wal.payload_of_string ~line payload }
   | [ "commit"; txid ] -> Commit { txid = txid_of_token line txid }
   | [ "abort"; txid; quoted ] -> (
       match Dump.value_of_string line quoted with
@@ -83,8 +91,7 @@ let decode src = Wal.decode_framed ~magic ~parse src
 let writer_create ?sync ~path ~next_seq () =
   Wal.writer_create ?sync ~magic ~path ~next_seq ()
 
-let writer_open ?sync ~path ~next_seq () =
-  Wal.writer_open ?sync ~magic ~path ~next_seq ()
+let writer_open ?sync ~path () = Wal.writer_open ?sync ~magic ~path ()
 
 let append w r = Wal.append_payload w (payload_to_string r)
 let append_batch w rs = Wal.append_batch w (List.map payload_to_string rs)

@@ -1,6 +1,6 @@
-(** The transaction log: a second prefix-commit log layered on the
-    {!Tdp_store.Wal} framing (magic [t], its own sequence space), whose
-    payload grammar wraps the WAL op grammar in transaction brackets:
+(** The transaction log: the store's one durable log ([txn.log]),
+    layered on the {!Tdp_store.Wal} framing (magic [t]), whose payload
+    grammar wraps the op grammar in transaction brackets:
 
     {v
     begin <txid> <branch>
@@ -15,7 +15,8 @@
     A crash mid-commit leaves a begin without its commit record and
     recovery discards the bracket — no torn state.  [abort] records
     conflicts durably (the loser of first-writer-wins); [fork] records
-    branch creation. *)
+    branch creation.  A server commit and an [odb store append] op
+    write the same bracket; the append's holds one op. *)
 
 module Database = Tdp_store.Database
 module Wal = Tdp_store.Wal
@@ -27,7 +28,7 @@ type record =
   | Abort of { txid : int; reason : string }
   | Fork of { branch : string; from_ : string }
 
-(** The record magic, ['t'] (plain WAL records use ['w']). *)
+(** The record magic, ['t'] (the retired [wal.log] used ['w']). *)
 val magic : char
 
 (** Branch names are single unquoted tokens: nonempty, no whitespace,
@@ -50,11 +51,16 @@ val encode : seq:int -> record -> string
     bytes (see {!Tdp_store.Wal.decode_framed}). *)
 val decode : string -> record Wal.framed_decoded
 
+(** {!Tdp_store.Wal.writer_create} / {!Tdp_store.Wal.writer_open} with
+    magic [t]: both lock the log for this process (one writer per store
+    directory) and raise [Database.Store_error] when another process
+    holds it. *)
 val writer_create : ?sync:bool -> path:string -> next_seq:int -> unit -> Wal.writer
-val writer_open : ?sync:bool -> path:string -> next_seq:int -> unit -> Wal.writer
+
+val writer_open : ?sync:bool -> path:string -> unit -> Wal.writer
 
 (** Append one record; returns its sequence number.  Shares
-    {!Tdp_store.Wal.append}'s failure atomicity (poisoning). *)
+    {!Tdp_store.Wal.append_batch}'s failure atomicity (poisoning). *)
 val append : Wal.writer -> record -> int
 
 (** Append records as one batch — one write, one fsync

@@ -9,9 +9,12 @@
 # the served view DDL (define, read back, drop, re-define, duplicate).
 # A two-client race checks the conflict path (prefix-matched: the
 # loser's message embeds version numbers), a SIGTERM with an idle
-# client connected checks the server exits 0 within 2 s, and a final
-# kill -9 right after an acknowledged commit checks that a restarted
-# server still has it.
+# client connected checks the server exits 0 within 2 s, and a kill -9
+# right after an acknowledged commit checks that a restarted server
+# still has it.  A last step runs `odb store` and `odb serve` on one
+# directory: `odb store` is refused while a server holds it, sees the
+# served commits, and its appends and the served commits replay in
+# write order.
 #
 # Usage: scripts/check_protocol.sh   (run from the repository root)
 set -eu
@@ -31,11 +34,12 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 "$ODB" store init "$tmp/db" --schema examples/schemas/employee.odb >/dev/null
+store=$tmp/db
 
-# start_server [FLAG...] — serve $tmp/db on $tmp/odb.sock, wait for it
+# start_server [FLAG...] — serve $store on $tmp/odb.sock, wait for it
 start_server() {
   rm -f "$tmp/odb.sock"
-  "$ODB" serve "$tmp/db" --socket "$tmp/odb.sock" "$@" >/dev/null &
+  "$ODB" serve "$store" --socket "$tmp/odb.sock" "$@" >/dev/null &
   server_pid=$!
   i=0
   until [ -S "$tmp/odb.sock" ]; do
@@ -275,6 +279,93 @@ start_server
 printf 'get #1 name\nversion\nquit\n' >"$tmp/in.txt"
 printf 'ok "durable"\nok %s\nok bye\n' "${committed#ok committed }" >"$tmp/want.txt"
 transcript "commit survives kill -9 and restart"
+
+# -- 8: one log — odb store and odb serve on one directory ------------
+stop_server() {
+  kill "$server_pid"
+  wait "$server_pid" 2>/dev/null || true
+  server_pid=
+}
+# check NAME WANT GOT — compare one command's output
+check() {
+  if [ "$3" = "$2" ]; then
+    echo "check_protocol: $1 OK"
+  else
+    echo "check_protocol: $1 FAILED" >&2
+    printf 'want: %s\ngot:  %s\n' "$2" "$3" >&2
+    status=1
+  fi
+}
+stop_server
+"$ODB" store init "$tmp/one" --schema examples/schemas/employee.odb >/dev/null
+store=$tmp/one
+start_server
+cat >"$tmp/in.txt" <<'EOF'
+begin
+new Employee ssn=1 name="alice"
+commit
+begin
+set #1 pay_rate=20.0
+commit
+quit
+EOF
+cat >"$tmp/want.txt" <<'EOF'
+ok txn 1 base 0
+ok #1
+ok committed 1
+ok txn 2 base 1
+ok
+ok committed 2
+ok bye
+EOF
+transcript "one log: two served commits"
+# one writer per directory: while the server holds it, odb store
+# refuses to write and appends nothing
+printf 'new #2 Employee ssn=2 name="bob"\n' >"$tmp/bob.ops"
+cp "$store/txn.log" "$tmp/txn.before"
+rc=0
+"$ODB" store append "$store" --script "$tmp/bob.ops" >/dev/null 2>"$tmp/err.txt" || rc=$?
+check "one log: append refused while served" \
+  "2 error: store $store is in use by another process ($store/txn.log is locked)" \
+  "$rc $(cat "$tmp/err.txt")"
+rc=0
+"$ODB" store checkpoint "$store" >/dev/null 2>"$tmp/err.txt" || rc=$?
+check "one log: checkpoint refused while served" "2 in use" \
+  "$rc $(grep -o 'in use' "$tmp/err.txt")"
+if cmp -s "$tmp/txn.before" "$store/txn.log"; then
+  echo "check_protocol: one log: refused writers left txn.log alone OK"
+else
+  echo "check_protocol: one log: refused writers left txn.log alone FAILED" >&2
+  status=1
+fi
+stop_server
+check "one log: store dump shows the served commits" \
+  'obj #1 Employee date_of_birth=null hrs_worked=null name="alice" pay_rate=20.0 ssn=1' \
+  "$("$ODB" store dump "$store" 2>&1)"
+# an append over a served oid is refused, not logged over it
+printf 'new #1 Employee ssn=2 name="bob"\n' >"$tmp/shadow.ops"
+rc=0
+"$ODB" store append "$store" --script "$tmp/shadow.ops" >/dev/null 2>"$tmp/err.txt" || rc=$?
+check "one log: append over a served oid refused" \
+  "2 error: oid #1 already in use" "$rc $(cat "$tmp/err.txt")"
+check "one log: append" \
+  "applied 1 operation(s); 2 object(s), txn.log at seq 9" \
+  "$("$ODB" store append "$store" --script "$tmp/bob.ops" 2>&1)"
+# write order across the writers: served 1.0, then appended 2.0
+start_server
+printf 'begin\nset #1 pay_rate=1.0\ncommit\nquit\n' | "$ODB" connect "$tmp/odb.sock" >/dev/null
+stop_server
+printf 'set #1 pay_rate=2.0\n' >"$tmp/pay.ops"
+"$ODB" store append "$store" --script "$tmp/pay.ops" >/dev/null 2>&1 || true
+start_server
+printf 'count\nget #1 name\nget #1 pay_rate\nget #2 name\nquit\n' >"$tmp/in.txt"
+printf 'ok 2\nok "alice"\nok 2.0\nok "bob"\nok bye\n' >"$tmp/want.txt"
+transcript "one log: a restart replays served and appended commits in write order"
+stop_server
+check "one log: store dump after the restart" \
+  'obj #1 Employee date_of_birth=null hrs_worked=null name="alice" pay_rate=2.0 ssn=1
+obj #2 Employee date_of_birth=null hrs_worked=null name="bob" pay_rate=null ssn=2' \
+  "$("$ODB" store dump "$store" 2>&1)"
 
 [ "$status" -eq 0 ] && echo "check_protocol: all transcripts match"
 exit "$status"

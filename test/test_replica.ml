@@ -4,6 +4,7 @@ module Dump = Tdp_store.Dump
 module Oid = Tdp_store.Oid
 module Value = Tdp_store.Value
 module Wal = Tdp_store.Wal
+module Txn_log = Tdp_txn.Txn_log
 module Mvcc = Tdp_txn.Mvcc
 module Server = Tdp_txn.Server
 module Replica = Tdp_replica.Replica
@@ -110,6 +111,10 @@ end
 
 (* ---- wal shipping: the fixture -------------------------------------- *)
 
+(* The write-ahead log is txn.log; each op below is one single-op
+   bracket, the records an [odb store append] op (or a served one-op
+   commit) writes. *)
+
 let ops : Database.op list =
   [ Op_new
       { oid = oid 1;
@@ -129,21 +134,39 @@ let ops : Database.op list =
     Op_new { oid = oid 4; ty = ty "Employee"; init = [ (at "ssn", Value.Int 4) ] }
   ]
 
-(* The WAL image plus [dumps.(k)] = the dump after the first [k] ops. *)
+(* The records of one single-op bracket [txid] starting at [seq]. *)
+let bracket ~seq txid op =
+  String.concat ""
+    (List.mapi
+       (fun k r -> Txn_log.encode ~seq:(seq + k) r)
+       [ Txn_log.Begin { txid; branch = Mvcc.main_branch };
+         Txn_log.Op { txid; op };
+         Txn_log.Commit { txid }
+       ])
+
+(* The log image plus [dumps.(k)] = the dump after the first [k] ops. *)
 let fixture () =
   let db = Database.create schema in
-  let wal = Buffer.create 512 in
+  let log = Buffer.create 1024 in
   let dumps = ref [ Dump.to_string db ] in
   List.iteri
     (fun i op ->
-      Buffer.add_string wal (Wal.encode ~seq:(i + 1) op);
+      Buffer.add_string log (bracket ~seq:((3 * i) + 1) (i + 1) op);
       Wal.apply db op;
       dumps := Dump.to_string db :: !dumps)
     ops;
-  (Buffer.contents wal, Array.of_list (List.rev !dumps))
+  (Buffer.contents log, Array.of_list (List.rev !dumps))
 
-let entries_ending_by entries t =
-  List.length (List.filter (fun (e : Wal.entry) -> e.ends_at <= t) entries)
+let entries log = (Txn_log.decode log).fentries
+
+(* Records ending at or before byte [t], all of them or only commits. *)
+let ending_by ?(only_commits = false) entries t =
+  List.length
+    (List.filter
+       (fun (e : Txn_log.record Wal.framed) ->
+         let is_commit = match e.fvalue with Txn_log.Commit _ -> true | _ -> false in
+         e.fends_at <= t && ((not only_commits) || is_commit))
+       entries)
 
 (* ---- fault injection: kill the feed at every byte offset ------------ *)
 
@@ -151,23 +174,22 @@ let entries_ending_by entries t =
    replica at exactly the state [recover] would produce from the same
    prefix — and at the oracle's state after the decodable records. *)
 let test_wal_ship_every_offset () =
-  let wal, dumps = fixture () in
-  let entries = (Wal.decode wal).entries in
+  let log, dumps = fixture () in
+  let entries = entries log in
   with_temp_dir (fun dir ->
-      let wal_path = Filename.concat dir "wal.log" in
-      for t = 0 to String.length wal do
-        write_file wal_path (String.sub wal 0 t);
+      let log_path = Filename.concat dir "txn.log" in
+      for t = 0 to String.length log do
+        write_file log_path (String.sub log 0 t);
         let r = Replica.open_ ~schema dir in
         let shipped = Replica.poll r in
-        let k = entries_ending_by entries t in
-        Alcotest.(check int) (Fmt.str "shipped at cut %d" t) k shipped;
+        let n = ending_by entries t and k = ending_by ~only_commits:true entries t in
+        Alcotest.(check int) (Fmt.str "shipped at cut %d" t) n shipped;
         Alcotest.(check string)
           (Fmt.str "state at cut %d" t)
           dumps.(k) (main_dump r);
         Alcotest.(check int)
-          (Fmt.str "applied wal seq at cut %d" t)
-          k
-          (fst (Replica.applied_seqs r));
+          (Fmt.str "applied seq at cut %d" t)
+          n (Replica.applied_seq r);
         (* a torn tail is an incomplete ship, not damage: the replica
            keeps waiting for the rest of the record *)
         Alcotest.(check bool)
@@ -185,34 +207,31 @@ let test_wal_ship_every_offset () =
 (* ---- incremental tailing: records arrive while the replica lives ---- *)
 
 let test_live_tailing () =
-  let wal, dumps = fixture () in
-  let entries = (Wal.decode wal).entries in
+  let log, dumps = fixture () in
+  let entries = entries log in
   with_temp_dir (fun dir ->
-      let wal_path = Filename.concat dir "wal.log" in
-      write_file wal_path "";
+      let log_path = Filename.concat dir "txn.log" in
+      write_file log_path "";
       let r = Replica.open_ ~schema dir in
       Alcotest.(check int) "nothing to ship" 0 (Replica.poll r);
       let prev_end = ref 0 in
       List.iteri
-        (fun i (e : Wal.entry) ->
-          let mid = !prev_end + ((e.ends_at - !prev_end) / 2) in
-          prev_end := e.ends_at;
+        (fun i (e : Txn_log.record Wal.framed) ->
+          let mid = !prev_end + ((e.fends_at - !prev_end) / 2) in
+          prev_end := e.fends_at;
           (* half a record: resumable, nothing applied *)
-          write_file wal_path (String.sub wal 0 mid);
+          write_file log_path (String.sub log 0 mid);
           Alcotest.(check int) (Fmt.str "torn ship %d waits" i) 0 (Replica.poll r);
-          Alcotest.(check bool)
-            (Fmt.str "torn ship %d is lag" i)
-            true
-            (fst (Replica.lag r) > 0);
-          (* the rest of the record lands *)
-          write_file wal_path (String.sub wal 0 e.ends_at);
+          Alcotest.(check bool) (Fmt.str "torn ship %d is lag" i) true (Replica.lag r > 0);
+          (* the rest of the record lands; its bracket publishes at the
+             commit record *)
+          write_file log_path (String.sub log 0 e.fends_at);
           Alcotest.(check int) (Fmt.str "ship %d applies" i) 1 (Replica.poll r);
           Alcotest.(check string)
             (Fmt.str "state after ship %d" i)
-            dumps.(i + 1) (main_dump r);
-          Alcotest.(check (pair int int))
-            (Fmt.str "caught up after ship %d" i)
-            (0, 0) (Replica.lag r))
+            dumps.(ending_by ~only_commits:true entries e.fends_at)
+            (main_dump r);
+          Alcotest.(check int) (Fmt.str "caught up after ship %d" i) 0 (Replica.lag r))
         entries;
       Replica.close r)
 
@@ -258,10 +277,10 @@ let prop_ship_random =
        ~shrink:QCheck.Shrink.(pair (list ~shrink:nil) nil))
     (fun (gops, cut_raw) ->
       (* trial-apply on a scratch db: only ops the primary accepted
-         reach the wal, with consecutive seqs *)
+         reach the log, one bracket each, with consecutive seqs *)
       let db = Database.create schema in
       let buf = Buffer.create 256 in
-      let seq = ref 0 in
+      let txid = ref 0 in
       let next = ref 1 in
       List.iter
         (fun gop ->
@@ -276,21 +295,22 @@ let prop_ship_random =
           match Wal.apply db op with
           | () ->
               (match op with Op_new _ -> incr next | _ -> ());
-              incr seq;
-              Buffer.add_string buf (Wal.encode ~seq:!seq op)
+              incr txid;
+              Buffer.add_string buf (bracket ~seq:((3 * !txid) - 2) !txid op)
           | exception Database.Store_error _ -> ())
         gops;
-      let wal = Buffer.contents buf in
+      let log = Buffer.contents buf in
       let cut =
-        if String.length wal = 0 then 0 else cut_raw mod (String.length wal + 1)
+        if String.length log = 0 then 0 else cut_raw mod (String.length log + 1)
       in
-      let prefix = String.sub wal 0 cut in
+      let prefix = String.sub log 0 cut in
       with_temp_dir (fun dir ->
-          write_file (Filename.concat dir "wal.log") prefix;
+          write_file (Filename.concat dir "txn.log") prefix;
           let r = Replica.open_ ~schema dir in
           ignore (Replica.poll r);
           let expected =
-            Dump.to_string (Wal.recover_text ~schema ~wal:prefix ()).db
+            let o = Mvcc.recover_text ~schema ~txn:prefix () in
+            Dump.to_string (Mvcc.to_database (Mvcc.head o.store ~branch:Mvcc.main_branch))
           in
           let got = main_dump r in
           let running = Replica.status r = Replica.Running in
@@ -346,7 +366,7 @@ let test_txn_ship_every_offset () =
           states ))
   in
   Alcotest.(check bool) "fixture journaled" true (String.length log > 0);
-  let entries = (Tdp_txn.Txn_log.decode log).Wal.fentries in
+  let entries = (Txn_log.decode log).Wal.fentries in
   (* records of kind [is] that end at or before the cut are durable *)
   let durable_by is t =
     List.length
@@ -588,7 +608,7 @@ let test_read_only_golden () =
   ignore (Server.handle_line rw "new Employee ssn=1");
   ignore (Server.handle_line rw "commit");
   let info =
-    { Server.ri_seqs = (fun () -> (7, 3)); ri_lag = (fun () -> (42, 0)) }
+    { Server.ri_seq = (fun () -> 3); ri_lag = (fun () -> 42) }
   in
   let s = Server.session ~mode:(Server.Read_only info) ~store () in
   let refused verb =
@@ -600,8 +620,8 @@ let test_read_only_golden () =
       Alcotest.(check string) req want (Server.handle_line s req))
     [ ("hello", "ok odb 1 branch main");
       ("ping", "ok pong");
-      ("seq", "ok wal 7 txn 3");
-      ("lag", "ok wal 42 txn 0");
+      ("seq", "ok txn 3");
+      ("lag", "ok txn 42");
       ("count", "ok 1");
       ("typeof #1", "ok Employee");
       ("get #1 ssn", "ok 1");

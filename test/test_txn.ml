@@ -563,30 +563,28 @@ let bracket txid =
 
 let test_append_failure_poisons_writer () =
   with_temp_dir (fun dir ->
-      let path = Filename.concat dir "wal.log" in
-      let w = Wal.writer_create ~sync:true ~path ~next_seq:1 () in
-      let op : Database.op =
-        Op_new { oid = oid 1; ty = ty "Person"; init = [ (at "ssn", Value.Int 1) ] }
-      in
-      ignore (Wal.append w op);
+      let path = Filename.concat dir "txn.log" in
+      let w = Txn_log.writer_create ~sync:true ~path ~next_seq:1 () in
+      let r = Txn_log.Commit { txid = 1 } in
+      ignore (Txn_log.append w r);
       Alcotest.(check int) "seq advanced to 2" 2 (Wal.writer_seq w);
       let committed = read_file path in
       (* sabotage the writer: close its fd out from under it, so the
          write of the next append fails *)
       Unix.close (Wal.writer_fd w);
-      (match Wal.append w op with
+      (match Txn_log.append w r with
       | _ -> Alcotest.fail "append on a dead fd must raise"
       | exception _ -> ());
       Alcotest.(check int) "seq NOT advanced by the failed append" 2
         (Wal.writer_seq w);
       Alcotest.(check bool) "writer poisoned" true (Wal.writer_poisoned w);
       (* every later append refuses rather than gapping the sequence *)
-      (match Wal.append w op with
+      (match Txn_log.append w r with
       | _ -> Alcotest.fail "poisoned writer must refuse"
       | exception Wal.Wal_error _ -> ());
       (* the durable prefix is exactly the committed records *)
-      let d = Wal.decode (read_file path) in
-      Alcotest.(check int) "one committed record" 1 (List.length d.Wal.entries);
+      let d = Txn_log.decode (read_file path) in
+      Alcotest.(check int) "one committed record" 1 (List.length d.Wal.fentries);
       Alcotest.(check string) "file rolled back to the record boundary"
         committed (read_file path));
   (* the same for a batch: all of it or none of it *)
@@ -685,6 +683,141 @@ let test_failed_commit_append () =
         (Mvcc.dump (Mvcc.head o2.Mvcc.store ~branch:Mvcc.main_branch));
       Mvcc.close o2.Mvcc.store)
 
+(* ---- one log: served commits and store appends ---------------------- *)
+
+(* What `odb serve` and `odb store append` do to a directory, in one
+   process: a served commit is a bracket of its ops, an append op a
+   one-op bracket over the same open, and a read-only dump recovers
+   the files.  Both writers share txn.log, so a later writer sees every
+   earlier one, whichever kind, in write order. *)
+let serve_commit dir f =
+  let o = Mvcc.open_dir ~load_schema ~sync:false ~schema dir in
+  let t = Mvcc.begin_ o.Mvcc.store in
+  f t;
+  ignore (commit_exn t);
+  Mvcc.close o.Mvcc.store
+
+let store_append dir op =
+  let o = Mvcc.open_dir ~load_schema ~sync:false ~schema dir in
+  Fun.protect
+    ~finally:(fun () -> Mvcc.close o.Mvcc.store)
+    (fun () ->
+      let t = Mvcc.begin_ o.Mvcc.store in
+      Mvcc.stage t op;
+      ignore (commit_exn t))
+
+let store_dump dir =
+  let file n =
+    let p = Filename.concat dir n in
+    if Sys.file_exists p then Some (read_file p) else None
+  in
+  let o =
+    Mvcc.recover_text ~load_schema ~schema ?snapshot:(file Mvcc.snapshot_file)
+      ?wal:(file Mvcc.wal_file) ?txn:(file Mvcc.txn_file) ()
+  in
+  Mvcc.head o.Mvcc.store ~branch:Mvcc.main_branch
+
+let test_served_and_appended_share_one_log () =
+  with_temp_dir (fun dir ->
+      let e1 = oid 1 in
+      serve_commit dir (fun t ->
+          ignore
+            (Mvcc.new_object t (ty "Employee")
+               ~init:[ (at "ssn", Value.Int 1); (at "name", Value.String "alice") ]));
+      serve_commit dir (fun t -> Mvcc.set_attr t e1 (at "pay_rate") (Value.Float 20.0));
+      let d = store_dump dir in
+      Alcotest.(check int) "dump shows the served commits" 1 (Mvcc.count d);
+      Alcotest.(check string) "dump shows the served value" "20.0"
+        (Dump.value_to_string (Mvcc.get_attr d e1 (at "pay_rate")));
+      (* the appended op that once shadowed #1 is refused, not logged *)
+      let log_before = read_file (Filename.concat dir "txn.log") in
+      (match
+         store_append dir
+           (Op_new
+              { oid = e1;
+                ty = ty "Employee";
+                init = [ (at "ssn", Value.Int 2); (at "name", Value.String "bob") ]
+              })
+       with
+      | () -> Alcotest.fail "an append over a served oid must be refused"
+      | exception Database.Store_error m ->
+          Alcotest.(check string) "refusal" "oid #1 already in use" m);
+      Alcotest.(check string) "nothing appended" log_before
+        (read_file (Filename.concat dir "txn.log"));
+      store_append dir
+        (Op_new
+           { oid = oid 2;
+             ty = ty "Employee";
+             init = [ (at "ssn", Value.Int 2); (at "name", Value.String "bob") ]
+           });
+      (* write order across the two writers: served, then appended *)
+      serve_commit dir (fun t -> Mvcc.set_attr t e1 (at "pay_rate") (Value.Float 1.0));
+      store_append dir (Op_set { oid = e1; attr = at "pay_rate"; value = Value.Float 2.0 });
+      let o = Mvcc.open_dir ~load_schema ~sync:false ~schema dir in
+      let head = Mvcc.head o.Mvcc.store ~branch:Mvcc.main_branch in
+      Alcotest.(check int) "every commit replays" 5 o.Mvcc.txn_applied;
+      Alcotest.(check int) "count" 2 (Mvcc.count head);
+      Alcotest.(check string) "served name kept" "\"alice\""
+        (Dump.value_to_string (Mvcc.get_attr head e1 (at "name")));
+      Alcotest.(check string) "appended object kept" "\"bob\""
+        (Dump.value_to_string (Mvcc.get_attr head (oid 2) (at "name")));
+      Alcotest.(check string) "the later write wins" "2.0"
+        (Dump.value_to_string (Mvcc.get_attr head e1 (at "pay_rate")));
+      Alcotest.(check string) "the dump agrees" (Mvcc.dump head)
+        (Mvcc.dump (store_dump dir));
+      Mvcc.close o.Mvcc.store)
+
+(* ---- the retained write-set window ---------------------------------- *)
+
+(* Commit well past 2 x [recent_limit] versions on one hot object.  At
+   every version v, a transaction pinned at base v - 1024 still sees
+   the whole history since its base: it conflicts by first-writer-wins
+   on the hot object, and commits when it touches a cold one.  A
+   transaction pinned at the start falls below the floor once the
+   window is trimmed. *)
+let test_write_set_window () =
+  let limit = 1024 in
+  let s = Mvcc.create schema in
+  let t0 = Mvcc.begin_ s in
+  let hot = new_employee t0 0 and cold = new_employee t0 1 in
+  ignore (commit_exn t0);
+  let ancient = Mvcc.begin_ s in
+  Mvcc.set_attr ancient cold (at "ssn") (Value.Int (-1));
+  let pinned = Hashtbl.create 64 in
+  let versions = (2 * limit) + 200 in
+  for i = 1 to versions do
+    (* one txn per base version, each held open [limit] versions *)
+    let t = Mvcc.begin_ s in
+    Hashtbl.replace pinned (Mvcc.version (Mvcc.view t)) t;
+    let w = Mvcc.begin_ s in
+    Mvcc.set_attr w hot (at "ssn") (Value.Int i);
+    let v = commit_exn w in
+    match Hashtbl.find_opt pinned (v - limit) with
+    | None -> ()
+    | Some t -> (
+        Hashtbl.remove pinned (v - limit);
+        Mvcc.set_attr t hot (at "ssn") (Value.Int (-i));
+        match Mvcc.commit t with
+        | Error (Mvcc.Conflict reason) ->
+            if not (String.starts_with ~prefix:"write set intersects version" reason) then
+              Alcotest.failf "version %d, base %d: %s" v (v - limit) reason
+        | Ok _ -> Alcotest.failf "version %d: a lost update committed" v
+        | Error (Mvcc.Invalid m) -> Alcotest.failf "version %d: %s" v m)
+  done;
+  (* inside the window, a disjoint write set commits *)
+  (match Hashtbl.find_opt pinned (versions - limit + 2) with
+  | None -> Alcotest.fail "no transaction pinned inside the window"
+  | Some t ->
+      Mvcc.set_attr t cold (at "ssn") (Value.Int 7);
+      ignore (commit_exn t));
+  match Mvcc.commit ancient with
+  | Error (Mvcc.Conflict reason) ->
+      let want = "base version 1 predates the retained write-set history" in
+      if not (String.starts_with ~prefix:want reason) then
+        Alcotest.failf "ancient base: %s" reason
+  | Ok _ -> Alcotest.fail "a base below the floor committed"
+  | Error (Mvcc.Invalid m) -> Alcotest.fail m
+
 (* ---- on-disk format pin --------------------------------------------- *)
 
 let test_commit_bracket_bytes () =
@@ -751,7 +884,11 @@ let suite =
       test_partial_batch_rolled_back;
     Alcotest.test_case "failed commit append publishes nothing" `Quick
       test_failed_commit_append;
-    Alcotest.test_case "commit bracket bytes" `Quick test_commit_bracket_bytes
+    Alcotest.test_case "commit bracket bytes" `Quick test_commit_bracket_bytes;
+    Alcotest.test_case "served commits and store appends share one log" `Quick
+      test_served_and_appended_share_one_log;
+    Alcotest.test_case "write-set window: first-writer-wins and floor" `Quick
+      test_write_set_window
   ]
 
 let () = Alcotest.run "txn" [ ("txn", suite) ]

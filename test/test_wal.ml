@@ -3,6 +3,9 @@ module Database = Tdp_store.Database
 module Dump = Tdp_store.Dump
 module Value = Tdp_store.Value
 module Wal = Tdp_store.Wal
+module Mvcc = Tdp_txn.Mvcc
+module Txn_log = Tdp_txn.Txn_log
+module Replica = Tdp_replica.Replica
 open Helpers
 
 (* Fig. 1 plus a reference-typed attribute, so the op mix covers
@@ -39,15 +42,27 @@ let ops : Database.op list =
     Op_new { oid = oid 4; ty = ty "Employee"; init = [ (at "ssn", Value.Int 4) ] }
   ]
 
-(* The WAL image of the scenario, plus [dumps.(k)] = the dump of the
-   state after the first [k] ops — the oracle for every fault. *)
+(* A record of the retired wal.log: a bare op under magic [w].  Only
+   the legacy fold reads these; the tests write them as fixtures. *)
+let encode_w ~seq op = Wal.encode_line ~magic:'w' ~seq (Wal.payload_to_string op)
+
+let parse_op payload =
+  match Wal.payload_of_string ~line:0 payload with
+  | op -> Ok op
+  | exception Dump.Parse_error { message; _ } -> Error message
+
+let decode = Wal.decode_framed ~magic:'w' ~parse:parse_op
+
+(* The legacy wal.log image of the scenario, plus [dumps.(k)] = the
+   dump of the state after the first [k] ops — the oracle for every
+   fault. *)
 let fixture () =
   let db = Database.create schema in
   let wal = Buffer.create 512 in
   let dumps = ref [ Dump.to_string db ] in
   List.iteri
     (fun i op ->
-      Buffer.add_string wal (Wal.encode ~seq:(i + 1) op);
+      Buffer.add_string wal (encode_w ~seq:(i + 1) op);
       Wal.apply db op;
       dumps := Dump.to_string db :: !dumps)
     ops;
@@ -68,55 +83,66 @@ let test_payload_roundtrip () =
 
 let test_encode_decode () =
   let wal, _ = fixture () in
-  let d = Wal.decode wal in
-  Alcotest.(check int) "all records decoded" (List.length ops) (List.length d.entries);
-  Alcotest.(check int) "next_seq" (List.length ops + 1) d.next_seq;
-  Alcotest.(check int) "valid_bytes = length" (String.length wal) d.valid_bytes;
-  Alcotest.(check bool) "no corruption" true (d.corruption = None);
+  let d = decode wal in
+  Alcotest.(check int) "all records decoded" (List.length ops) (List.length d.fentries);
+  Alcotest.(check int) "next_seq" (List.length ops + 1) d.fnext_seq;
+  Alcotest.(check int) "valid_bytes = length" (String.length wal) d.fvalid_bytes;
+  Alcotest.(check bool) "no corruption" true (d.fcorruption = None);
   List.iteri
-    (fun i (e : Wal.entry) ->
-      Alcotest.(check int) (Fmt.str "seq of entry %d" i) (i + 1) e.seq)
-    d.entries
+    (fun i (e : _ Wal.framed) ->
+      Alcotest.(check int) (Fmt.str "seq of entry %d" i) (i + 1) e.fseq;
+      Alcotest.(check string)
+        (Fmt.str "op of entry %d" i)
+        (Wal.payload_to_string (List.nth ops i))
+        (Wal.payload_to_string e.fvalue))
+    d.fentries
 
 let test_decode_degenerate () =
-  let d = Wal.decode "" in
-  Alcotest.(check int) "empty: no entries" 0 (List.length d.entries);
-  Alcotest.(check int) "empty: next_seq 1" 1 d.next_seq;
-  Alcotest.(check bool) "empty: clean" true (d.corruption = None);
-  let d = Wal.decode "total garbage\n" in
-  Alcotest.(check bool) "garbage: corrupt" true (d.corruption <> None);
-  Alcotest.(check int) "garbage: zero valid bytes" 0 d.valid_bytes;
+  let d = decode "" in
+  Alcotest.(check int) "empty: no entries" 0 (List.length d.fentries);
+  Alcotest.(check int) "empty: next_seq 1" 1 d.fnext_seq;
+  Alcotest.(check bool) "empty: clean" true (d.fcorruption = None);
+  let d = decode "total garbage\n" in
+  Alcotest.(check bool) "garbage: corrupt" true (d.fcorruption <> None);
+  Alcotest.(check int) "garbage: zero valid bytes" 0 d.fvalid_bytes;
   (* a record without its newline is torn, even if otherwise intact *)
-  let r1 = Wal.encode ~seq:1 (List.hd ops) in
+  let r1 = encode_w ~seq:1 (List.hd ops) in
   let torn = String.sub r1 0 (String.length r1 - 1) in
-  let d = Wal.decode torn in
-  Alcotest.(check bool) "torn: corrupt" true (d.corruption <> None);
-  Alcotest.(check int) "torn: zero valid bytes" 0 d.valid_bytes
+  let d = decode torn in
+  Alcotest.(check bool) "torn: corrupt" true (d.fcorruption <> None);
+  Alcotest.(check int) "torn: zero valid bytes" 0 d.fvalid_bytes;
+  (* a record of the other log is not a record of this one *)
+  let d = decode (Txn_log.encode ~seq:1 (Txn_log.Commit { txid = 1 })) in
+  Alcotest.(check bool) "foreign magic: corrupt" true (d.fcorruption <> None)
 
 let test_decode_sequence_rules () =
   let op = List.hd ops in
   (* a hole in the numbering ends the prefix *)
-  let d = Wal.decode (Wal.encode ~seq:1 op ^ Wal.encode ~seq:3 op) in
-  Alcotest.(check int) "gap: one entry" 1 (List.length d.entries);
-  Alcotest.(check bool) "gap: corrupt" true (d.corruption <> None);
+  let d = decode (encode_w ~seq:1 op ^ encode_w ~seq:3 op) in
+  Alcotest.(check int) "gap: one entry" 1 (List.length d.fentries);
+  Alcotest.(check bool) "gap: corrupt" true (d.fcorruption <> None);
   (* but the base may start anywhere: a checkpointed log resumes high *)
-  let d = Wal.decode (Wal.encode ~seq:5 op ^ Wal.encode ~seq:6 op) in
-  Alcotest.(check int) "high base: two entries" 2 (List.length d.entries);
-  Alcotest.(check int) "high base: next_seq" 7 d.next_seq;
-  Alcotest.(check bool) "high base: clean" true (d.corruption = None)
+  let d = decode (encode_w ~seq:5 op ^ encode_w ~seq:6 op) in
+  Alcotest.(check int) "high base: two entries" 2 (List.length d.fentries);
+  Alcotest.(check int) "high base: next_seq" 7 d.fnext_seq;
+  Alcotest.(check bool) "high base: clean" true (d.fcorruption = None)
 
 (* ---- fault injection: truncate at every byte offset ----------------- *)
 
+(* The legacy fold keeps the torn-tail rules wal.log recovery always
+   had: a cut or a flipped bit anywhere folds exactly the records
+   before it. *)
+
 let entries_ending_by entries t =
-  List.length (List.filter (fun (e : Wal.entry) -> e.ends_at <= t) entries)
+  List.length (List.filter (fun (e : _ Wal.framed) -> e.fends_at <= t) entries)
 
 let test_truncation_every_offset () =
   let wal, dumps = fixture () in
-  let entries = (Wal.decode wal).entries in
+  let entries = (decode wal).fentries in
   for t = 0 to String.length wal do
-    let r = Wal.recover_text ~schema ~wal:(String.sub wal 0 t) () in
+    let r = Wal.fold_legacy ~schema ~wal:(String.sub wal 0 t) () in
     let k = entries_ending_by entries t in
-    Alcotest.(check int) (Fmt.str "replayed after cut at %d" t) k r.replayed;
+    Alcotest.(check int) (Fmt.str "folded after cut at %d" t) k r.wal_seq;
     Alcotest.(check string)
       (Fmt.str "state after cut at %d" t)
       dumps.(k)
@@ -124,7 +150,7 @@ let test_truncation_every_offset () =
     (* mid-record cuts are reported; record-boundary cuts are clean *)
     Alcotest.(check bool)
       (Fmt.str "corruption flag at %d" t)
-      (t <> 0 && not (List.exists (fun (e : Wal.entry) -> e.ends_at = t) entries))
+      (t <> 0 && not (List.exists (fun (e : _ Wal.framed) -> e.fends_at = t) entries))
       (r.corruption <> None)
   done
 
@@ -132,16 +158,16 @@ let test_truncation_every_offset () =
 
 let test_byteflip_every_offset () =
   let wal, dumps = fixture () in
-  let entries = (Wal.decode wal).entries in
+  let entries = (decode wal).fentries in
   let n = List.length entries in
   for t = 0 to String.length wal - 1 do
     let b = Bytes.of_string wal in
     Bytes.set b t (Char.chr (Char.code wal.[t] lxor 0x01));
-    let r = Wal.recover_text ~schema ~wal:(Bytes.to_string b) () in
+    let r = Wal.fold_legacy ~schema ~wal:(Bytes.to_string b) () in
     (* the flip lands inside record j (0-based); CRC-32 catches any
-       single-bit error, so exactly the records before j replay *)
+       single-bit error, so exactly the records before j fold *)
     let j = entries_ending_by entries t in
-    Alcotest.(check int) (Fmt.str "replayed with flip at %d" t) j r.replayed;
+    Alcotest.(check int) (Fmt.str "folded with flip at %d" t) j r.wal_seq;
     Alcotest.(check string)
       (Fmt.str "state with flip at %d" t)
       dumps.(j)
@@ -160,19 +186,18 @@ let test_snapshot_skips_replayed_prefix () =
   (* checkpoint at seq 3, but keep the whole WAL: a crash between
      snapshot rename and log truncation must not double-apply 1..3 *)
   let snapshot = "-- wal-seq: 3\n" ^ dumps.(3) in
-  let r = Wal.recover_text ~schema ~snapshot ~wal () in
-  Alcotest.(check int) "snapshot_seq" 3 r.snapshot_seq;
-  Alcotest.(check int) "replayed only the suffix" (n - 3) r.replayed;
-  Alcotest.(check int) "last_seq" n r.last_seq;
+  let r = Wal.fold_legacy ~schema ~snapshot ~wal () in
+  Alcotest.(check int) "folded through the last record" n r.wal_seq;
+  Alcotest.(check bool) "clean" true (r.corruption = None);
   Alcotest.(check string) "final state" dumps.(n) (Dump.to_string r.db)
 
 let test_snapshot_wal_gap_detected () =
   let _, dumps = fixture () in
   let snapshot = "-- wal-seq: 3\n" ^ dumps.(3) in
   (* a log that resumes past the snapshot leaves a hole: refuse it *)
-  let wal = Wal.encode ~seq:5 (List.nth ops 4) in
-  let r = Wal.recover_text ~schema ~snapshot ~wal () in
-  Alcotest.(check int) "nothing replayed" 0 r.replayed;
+  let wal = encode_w ~seq:5 (List.nth ops 4) in
+  let r = Wal.fold_legacy ~schema ~snapshot ~wal () in
+  Alcotest.(check int) "nothing folded" 3 r.wal_seq;
   Alcotest.(check bool) "gap reported" true (r.corruption <> None);
   Alcotest.(check string) "state is the snapshot" dumps.(3) (Dump.to_string r.db)
 
@@ -207,7 +232,7 @@ let test_schema_requires_source_when_journaled () =
   | () -> Alcotest.fail "apply without load_schema should fail"
   | exception Wal.Wal_error _ -> ()
 
-(* ---- writer: journaling to a real file ------------------------------ *)
+(* ---- writer: appending to a real file -------------------------------- *)
 
 let with_temp_dir f =
   let dir = Filename.temp_file "tdp_wal" "" in
@@ -219,46 +244,147 @@ let with_temp_dir f =
       Sys.rmdir dir)
     (fun () -> f dir)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let append_file path s =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      Out_channel.output_string oc s)
+
+(* Writer, repair and checkpoint truncation over the transaction log,
+   each step checked against a fresh decode of the file. *)
 let test_writer_end_to_end () =
   with_temp_dir (fun dir ->
-      let wal_path = Filename.concat dir "wal.log" in
-      let snapshot_path = Filename.concat dir "snapshot.dump" in
-      let db = Database.create schema in
-      let w = Wal.writer_create ~sync:false ~path:wal_path ~next_seq:1 () in
-      Wal.attach w db;
-      List.iter (Wal.apply db) ops;
-      Database.set_journal db None;
+      let path = Filename.concat dir "txn.log" in
+      let records =
+        List.concat
+          (List.mapi
+             (fun i op ->
+               let txid = i + 1 in
+               [ Txn_log.Begin { txid; branch = "main" };
+                 Txn_log.Op { txid; op };
+                 Txn_log.Commit { txid }
+               ])
+             ops)
+      in
+      let w = Txn_log.writer_create ~sync:false ~path ~next_seq:1 () in
+      List.iter (fun r -> ignore (Txn_log.append w r)) records;
       Wal.close w;
-      let expected = Dump.to_string db in
-      (* recover from the log alone *)
-      let r = Wal.recover ~schema ~snapshot_path ~wal_path () in
-      Alcotest.(check int) "replayed all" (List.length ops) r.replayed;
-      Alcotest.(check string) "log-only recovery" expected (Dump.to_string r.db);
-      (* checkpoint: fold the log into an atomic snapshot, start fresh *)
-      Dump.save ~wal_seq:r.last_seq ~path:snapshot_path r.db;
-      Wal.close (Wal.writer_create ~path:wal_path ~next_seq:(r.last_seq + 1) ());
-      let r2 = Wal.recover ~schema ~snapshot_path ~wal_path () in
-      Alcotest.(check int) "nothing to replay" 0 r2.replayed;
-      Alcotest.(check int) "seq preserved" r.last_seq r2.last_seq;
-      Alcotest.(check string) "snapshot recovery" expected (Dump.to_string r2.db);
-      (* a torn tail on disk: repair, then append cleanly *)
-      let oc = open_out_gen [ Open_append ] 0o644 wal_path in
-      output_string oc "w 99 deadbeef torn";
-      close_out oc;
-      let r3 = Wal.recover ~schema ~snapshot_path ~wal_path () in
-      Alcotest.(check bool) "tear detected" true (r3.corruption <> None);
-      Wal.repair ~path:wal_path r3.wal_valid_bytes;
-      let w2 = Wal.writer_open ~sync:false ~path:wal_path ~next_seq:(r3.last_seq + 1) () in
-      Wal.attach w2 r3.db;
-      ignore (Database.new_object r3.db (ty "Person") ~init:[ (at "ssn", Value.Int 9) ]);
-      Database.set_journal r3.db None;
-      Wal.close w2;
-      let r4 = Wal.recover ~schema ~snapshot_path ~wal_path () in
-      Alcotest.(check bool) "clean after repair" true (r4.corruption = None);
-      Alcotest.(check string)
-        "repaired log replays"
-        (Dump.to_string r3.db)
-        (Dump.to_string r4.db))
+      let n = List.length records in
+      let d = Txn_log.decode (read_file path) in
+      Alcotest.(check int) "every record decodes" n (List.length d.fentries);
+      Alcotest.(check bool) "clean" true (d.fcorruption = None);
+      Alcotest.(check (list string)) "payloads round-trip"
+        (List.map Txn_log.payload_to_string records)
+        (List.map (fun (e : _ Wal.framed) -> Txn_log.payload_to_string e.fvalue) d.fentries);
+      (* a torn tail on disk: reopen, cut back to the valid prefix, and
+         append cleanly after it *)
+      append_file path "t 99 deadbeef torn";
+      let d = Txn_log.decode (read_file path) in
+      Alcotest.(check bool) "tear detected" true (d.fcorruption <> None);
+      let w = Txn_log.writer_open ~sync:false ~path () in
+      Wal.reset w ~valid_bytes:d.fvalid_bytes ~next_seq:d.fnext_seq;
+      ignore (Txn_log.append w (Txn_log.Commit { txid = 42 }));
+      let d = Txn_log.decode (read_file path) in
+      Alcotest.(check bool) "clean after repair" true (d.fcorruption = None);
+      Alcotest.(check int) "one more record" (n + 1) (List.length d.fentries);
+      (* a checkpoint's truncation: empty file, numbering resumes high *)
+      Wal.reset w ~valid_bytes:0 ~next_seq:(n + 2);
+      ignore (Txn_log.append w (Txn_log.Commit { txid = 43 }));
+      Wal.close w;
+      let d = Txn_log.decode (read_file path) in
+      Alcotest.(check (list int)) "resumes past the checkpoint" [ n + 2 ]
+        (List.map (fun (e : _ Wal.framed) -> e.fseq) d.fentries))
+
+(* ---- the legacy store fixture ------------------------------------- *)
+
+(* test/golden/legacy_store was written by the two-log binary: `odb
+   store init`, an `odb store append` of three ops, `odb store
+   checkpoint` (snapshot header wal-seq 3), a second append (w 4..6),
+   two commits through `odb serve` (txn.log), then a torn w 7 on
+   wal.log.  legacy_store.dump is that binary's `odb store dump`
+   (snapshot + wal.log), legacy_store.recovered its full recovery
+   (snapshot + wal.log, then txn.log). *)
+
+(* [dune runtest] runs in test/, [dune exec test/test_wal.exe] at the
+   repository root. *)
+let golden name =
+  let here = Filename.concat "golden" name in
+  if Sys.file_exists here then here else Filename.concat "test/golden" name
+let load_schema src = (Tdp_lang.Elaborate.load_exn src).Tdp_lang.Elaborate.schema
+
+let with_legacy_store f =
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun n ->
+          let src = read_file (golden (Filename.concat "legacy_store" n)) in
+          Out_channel.with_open_bin (Filename.concat dir n) (fun oc ->
+              Out_channel.output_string oc src))
+        [ "schema.odb"; "snapshot.dump"; "wal.log"; "txn.log" ];
+      f dir (load_schema (read_file (Filename.concat dir "schema.odb"))))
+
+let main_dump store = Mvcc.dump (Mvcc.head store ~branch:Mvcc.main_branch)
+
+(* The body of a snapshot file, without its header comments. *)
+let snapshot_body dir =
+  String.split_on_char '\n' (read_file (Filename.concat dir "snapshot.dump"))
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"--" l))
+  |> String.concat "\n"
+
+let open_legacy dir schema =
+  let o = Mvcc.open_dir ~load_schema ~sync:false ~schema dir in
+  let dump = main_dump o.Mvcc.store in
+  Mvcc.close o.Mvcc.store;
+  (o, dump)
+
+let test_legacy_first_open () =
+  with_legacy_store (fun dir schema ->
+      let o, dump = open_legacy dir schema in
+      Alcotest.(check string) "state is the two-log recovery"
+        (read_file (golden "legacy_store.recovered")) dump;
+      Alcotest.(check int) "both served commits replayed" 2 o.Mvcc.txn_applied;
+      Alcotest.(check bool) "wal.log removed" false
+        (Sys.file_exists (Filename.concat dir "wal.log"));
+      Alcotest.(check string) "the folded snapshot is the two-log store dump"
+        (read_file (golden "legacy_store.dump")) (snapshot_body dir);
+      let snap = read_file (Filename.concat dir "snapshot.dump") in
+      Alcotest.(check (pair int int)) "wal-seq names the last folded record; txn-seq kept"
+        (6, 0) (Dump.wal_seq snap, Dump.txn_seq snap))
+
+let test_legacy_reopen () =
+  with_legacy_store (fun dir schema ->
+      let _, first = open_legacy dir schema in
+      let o, again = open_legacy dir schema in
+      Alcotest.(check string) "reopen is equal" first again;
+      Alcotest.(check int) "the log still replays" 2 o.Mvcc.txn_applied)
+
+let test_legacy_crash_window () =
+  with_legacy_store (fun dir schema ->
+      let wal = read_file (Filename.concat dir "wal.log") in
+      let _, first = open_legacy dir schema in
+      (* a crash after the folded snapshot's rename, before wal.log's
+         removal: the old wal.log is still there *)
+      Out_channel.with_open_bin (Filename.concat dir "wal.log") (fun oc ->
+          Out_channel.output_string oc wal);
+      let snapshot = read_file (Filename.concat dir "snapshot.dump") in
+      let refold = Wal.fold_legacy ~load_schema ~schema ~snapshot ~wal () in
+      Alcotest.(check (option int))
+        "w 4..6 are skipped; the fold stops only at the torn w 7" (Some 7)
+        (Option.map (fun (c : Wal.corruption) -> c.at_seq) refold.corruption);
+      let _, again = open_legacy dir schema in
+      Alcotest.(check string) "nothing folded twice" first again;
+      Alcotest.(check bool) "wal.log removed" false
+        (Sys.file_exists (Filename.concat dir "wal.log")))
+
+let test_legacy_replica () =
+  with_legacy_store (fun dir schema ->
+      let r = Replica.open_ ~load_schema ~schema dir in
+      ignore (Replica.poll r);
+      Alcotest.(check bool) "running" true (Replica.status r = Replica.Running);
+      Alcotest.(check string) "replica of the unfolded directory"
+        (read_file (golden "legacy_store.recovered")) (main_dump (Replica.store r));
+      Alcotest.(check bool) "read-only: wal.log left alone" true
+        (Sys.file_exists (Filename.concat dir "wal.log"));
+      Replica.close r)
 
 let suite =
   [ Alcotest.test_case "payload roundtrip" `Quick test_payload_roundtrip;
@@ -276,7 +402,14 @@ let suite =
     Alcotest.test_case "schema record roundtrip" `Quick test_schema_record_roundtrip;
     Alcotest.test_case "schema source required when journaled" `Quick
       test_schema_requires_source_when_journaled;
-    Alcotest.test_case "writer end to end" `Quick test_writer_end_to_end
+    Alcotest.test_case "writer end to end" `Quick test_writer_end_to_end;
+    Alcotest.test_case "legacy fixture: first writable open folds once" `Quick
+      test_legacy_first_open;
+    Alcotest.test_case "legacy fixture: reopen is equal" `Quick test_legacy_reopen;
+    Alcotest.test_case "legacy fixture: restored wal.log folds nothing twice" `Quick
+      test_legacy_crash_window;
+    Alcotest.test_case "legacy fixture: replica bootstraps unfolded" `Quick
+      test_legacy_replica
   ]
 
 let () = Alcotest.run "wal" [ ("wal", suite) ]
