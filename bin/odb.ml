@@ -449,9 +449,16 @@ let write_file path content =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc content)
 
-let pp_corruption ppf (c : Wal.corruption) =
-  Fmt.pf ppf "txn.log corrupt at byte %d (expected seq %d): %s" c.offset c.at_seq
+let pp_corruption log ppf (c : Wal.corruption) =
+  Fmt.pf ppf "%s corrupt at byte %d (expected seq %d): %s" log c.offset c.at_seq
     c.reason
+
+(* a legacy wal.log fold and txn.log replay each keep the prefix before
+   their damage *)
+let corruptions (o : Mvcc.opened) =
+  List.filter_map
+    (fun (log, c) -> Option.map (fun c -> (log, c)) c)
+    [ (Mvcc.wal_file, o.legacy_corruption); (Mvcc.txn_file, o.txn_corruption) ]
 
 let corruption_json = function
   | None -> J.Null
@@ -473,9 +480,10 @@ let parse_script file =
 (* warnings go to stderr in both modes; the envelope carries the
    structured corruption record *)
 let warn_corruption (o : Mvcc.opened) =
-  Option.iter
-    (Fmt.epr "warning: %a; recovered the prefix before it@." pp_corruption)
-    o.txn_corruption;
+  List.iter
+    (fun (log, c) ->
+      Fmt.epr "warning: %a; recovered the prefix before it@." (pp_corruption log) c)
+    (corruptions o);
   if o.tmp_removed then
     Fmt.epr "warning: removed orphaned snapshot .tmp (crashed checkpoint)@."
 
@@ -591,7 +599,7 @@ let store_cmd action dir schema_file script_file json =
         let snap = head o in
         match action with
         | Verify ->
-            let status = match o.txn_corruption with None -> `Ok | Some _ -> `Findings in
+            let status = if corruptions o = [] then `Ok else `Findings in
             if json then
               finish status
                 ~data:
@@ -602,7 +610,8 @@ let store_cmd action dir schema_file script_file json =
                        ("txn_discarded", J.Int o.txn_discarded);
                        ("valid_bytes", J.Int o.txn_valid_bytes);
                        ("next_seq", J.Int o.txn_next_seq);
-                       ("corruption", corruption_json o.txn_corruption)
+                       ("corruption", corruption_json o.txn_corruption);
+                       ("legacy_corruption", corruption_json o.legacy_corruption)
                      ])
             else begin
               Fmt.pr "snapshot: txn-seq %d; %d object(s) recovered@." (snapshot_seq ())
@@ -610,9 +619,9 @@ let store_cmd action dir schema_file script_file json =
               Fmt.pr
                 "txn.log: %d committed txn(s), %d dangling, %d byte(s) valid, next seq %d@."
                 o.txn_applied o.txn_discarded o.txn_valid_bytes o.txn_next_seq;
-              (match o.txn_corruption with
-              | None -> Fmt.pr "ok.@."
-              | Some c -> Fmt.pr "%a@." pp_corruption c);
+              (match corruptions o with
+              | [] -> Fmt.pr "ok.@."
+              | cs -> List.iter (fun (log, c) -> Fmt.pr "%a@." (pp_corruption log) c) cs);
               exit_of status
             end
         | Recover ->

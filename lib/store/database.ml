@@ -71,7 +71,6 @@ let create schema =
 
 let schema t = t.schema
 let set_journal t j = t.journal <- j
-let journaling t = t.journal <> None
 let record t op = match t.journal with Some f -> f op | None -> ()
 
 (* Swap in a refactored schema.  Projection never changes the
@@ -91,19 +90,28 @@ let set_schema ?source t schema =
 let hierarchy t = Schema.hierarchy t.schema
 let tick t = t.tick
 
-let attr_def t ty attr =
-  match Hierarchy.find_attribute (hierarchy t) ty attr with
-  | Some a -> a
-  | None ->
-      fail "type %s has no attribute %s" (Type_name.to_string ty)
-        (Attr_name.to_string attr)
+(* ---- the object rules ---------------------------------------------- *)
 
-let find_loc t oid =
-  match Hashtbl.find_opt t.locs oid with
-  | Some l -> l
-  | None -> fail "no object %a" Oid.pp oid
+(* Every check an op passes, written once over a compiled index and a
+   [referent] lookup (the type of a live OID), so the columnar store
+   and {!Tdp_txn.Mvcc}'s snapshots give one verdict and one message. *)
 
-let check_value t attr_ty v =
+type referent = Oid.t -> Type_name.t option
+
+let no_object oid = fail "no object %a" Oid.pp oid
+
+let no_attr oid ty attr =
+  fail "object %a of type %s has no attribute %s" Oid.pp oid
+    (Type_name.to_string ty) (Attr_name.to_string attr)
+
+let unknown_attrs ty = function
+  | [ n ] ->
+      fail "type %s has no attribute %s" (Type_name.to_string ty) (Attr_name.to_string n)
+  | ns ->
+      fail "type %s has no attributes %s" (Type_name.to_string ty)
+        (String.concat ", " (List.map Attr_name.to_string ns))
+
+let check_value index ~referent attr_ty v =
   match (attr_ty, (v : Value.t)) with
   | _, Value.Null -> ()
   | Value_type.Prim p, v ->
@@ -111,16 +119,82 @@ let check_value t attr_ty v =
         fail "value %a does not conform to %s" Value.pp v
           (Value_type.prim_to_string p)
   | Value_type.Named n, Value.Ref o -> (
-      match Hashtbl.find_opt t.locs o with
+      match referent o with
       | None -> fail "dangling reference %a" Oid.pp o
-      | Some l ->
-          let target_ty = l.l_block.Columns.b_ty in
-          if not (Schema_index.subtype t.index target_ty n) then
+      | Some target_ty ->
+          if not (Schema_index.subtype index target_ty n) then
             fail "object %a of type %s is not a %s" Oid.pp o
               (Type_name.to_string target_ty)
               (Type_name.to_string n))
   | Value_type.Named _, v -> fail "value %a is not an object reference" Value.pp v
   | Value_type.Unknown, _ -> ()
+
+let check_fresh_oid ~referent oid =
+  if referent oid <> None then fail "oid %a already in use" Oid.pp oid;
+  if Oid.to_int oid < 1 then fail "non-positive oid %a" Oid.pp oid
+
+(* Validate an init list against the layout of [ty] and return the full
+   row, one value per column.  The init list is folded into a map once
+   (first occurrence of a name wins); values are checked in layout
+   order, then every unknown init attribute is reported at once. *)
+let build_row index ~referent ty ~init =
+  if not (Schema_index.mem index ty) then
+    fail "unknown type %s" (Type_name.to_string ty);
+  let layout = Schema_index.layout index ty in
+  let init_map =
+    List.fold_left
+      (fun m (n, v) ->
+        if Attr_name.Map.mem n m then m else Attr_name.Map.add n v m)
+      Attr_name.Map.empty init
+  in
+  let vals =
+    Array.map
+      (fun a ->
+        match Attr_name.Map.find_opt (Attribute.name a) init_map with
+        | Some v ->
+            check_value index ~referent (Attribute.ty a) v;
+            v
+        | None -> Value.Null)
+      layout
+  in
+  let known = Schema_index.layout_positions index ty in
+  let unknown =
+    List.fold_left
+      (fun acc (n, _) ->
+        if Attr_name.Map.mem n known || List.exists (Attr_name.equal n) acc then
+          acc
+        else n :: acc)
+      [] init
+    |> List.rev
+  in
+  if unknown <> [] then unknown_attrs ty unknown;
+  vals
+
+let check_set index ~referent ty attr v =
+  match Attr_name.Map.find_opt attr (Schema_index.layout_positions index ty) with
+  | Some i ->
+      check_value index ~referent (Attribute.ty (Schema_index.layout index ty).(i)) v
+  | None -> unknown_attrs ty [ attr ]
+
+let check_delete policy oid refs =
+  match (policy, refs) with
+  | Restrict, (other, attr) :: _ ->
+      fail "cannot delete %a: referenced by %a.%s" Oid.pp oid Oid.pp other
+        (Attr_name.to_string attr)
+  | _ -> ()
+
+let schema_of_source load_schema source =
+  match load_schema with
+  | Some load -> load source
+  | None -> fail "schema op requires a schema loader"
+
+let find_loc t oid =
+  match Hashtbl.find_opt t.locs oid with
+  | Some l -> l
+  | None -> no_object oid
+
+let referent t oid =
+  Option.map (fun l -> l.l_block.Columns.b_ty) (Hashtbl.find_opt t.locs oid)
 
 (* ---- reverse-reference index ---------------------------------------- *)
 
@@ -180,51 +254,6 @@ let head_block t ty =
 
 (* ---- object creation ------------------------------------------------ *)
 
-(* Validate an init list against the layout of [ty] and return the full
-   row, one value per column.  The init list is folded into a map once
-   (first occurrence of a name wins, as [List.find_opt] did); values
-   are checked in layout order, then every unknown init attribute is
-   reported at once. *)
-let build_row t ty ~init =
-  if not (Hierarchy.mem (hierarchy t) ty) then
-    fail "unknown type %s" (Type_name.to_string ty);
-  let layout = Schema_index.layout t.index ty in
-  let init_map =
-    List.fold_left
-      (fun m (n, v) ->
-        if Attr_name.Map.mem n m then m else Attr_name.Map.add n v m)
-      Attr_name.Map.empty init
-  in
-  let vals =
-    Array.map
-      (fun a ->
-        match Attr_name.Map.find_opt (Attribute.name a) init_map with
-        | Some v ->
-            check_value t (Attribute.ty a) v;
-            v
-        | None -> Value.Null)
-      layout
-  in
-  let known = Schema_index.layout_positions t.index ty in
-  let unknown =
-    List.fold_left
-      (fun acc (n, _) ->
-        if Attr_name.Map.mem n known || List.exists (Attr_name.equal n) acc then
-          acc
-        else n :: acc)
-      [] init
-    |> List.rev
-  in
-  (match unknown with
-  | [] -> ()
-  | [ n ] ->
-      fail "type %s has no attribute %s" (Type_name.to_string ty)
-        (Attr_name.to_string n)
-  | ns ->
-      fail "type %s has no attributes %s" (Type_name.to_string ty)
-        (String.concat ", " (List.map Attr_name.to_string ns)));
-  vals
-
 let insert_row t ty oid vals =
   let b = head_block t ty in
   let row = Columns.alloc b oid in
@@ -242,7 +271,7 @@ let insert_row t ty oid vals =
   Hashtbl.replace t.locs oid { l_block = b; l_row = row }
 
 let new_object t ty ~init =
-  let vals = build_row t ty ~init in
+  let vals = build_row t.index ~referent:(referent t) ty ~init in
   let oid = Oid.of_int t.next in
   record t (Op_new { oid; ty; init });
   t.next <- t.next + 1;
@@ -251,8 +280,8 @@ let new_object t ty ~init =
 
 (* Re-create an object under a fixed OID (used when loading a dump). *)
 let restore_object t ~oid ~ty ~init =
-  if Hashtbl.mem t.locs oid then fail "oid %a already in use" Oid.pp oid;
-  let vals = build_row t ty ~init in
+  check_fresh_oid ~referent:(referent t) oid;
+  let vals = build_row t.index ~referent:(referent t) ty ~init in
   record t (Op_new { oid; ty; init });
   t.next <- max t.next (Oid.to_int oid + 1);
   insert_row t ty oid vals;
@@ -272,28 +301,16 @@ let find t oid =
 
 let type_of t oid = (find_loc t oid).l_block.Columns.b_ty
 
-let no_attr oid ty attr =
-  fail "object %a of type %s has no attribute %s" Oid.pp oid
-    (Type_name.to_string ty) (Attr_name.to_string attr)
+let read_slot oid (l : loc) attr =
+  match Columns.pos l.l_block attr with
+  | Some col -> Columns.read l.l_block ~row:l.l_row ~col
+  | None -> no_attr oid l.l_block.Columns.b_ty attr
 
-let get_attr t oid attr =
-  let l = find_loc t oid in
-  let b = l.l_block in
-  match Columns.pos b attr with
-  | Some col -> Columns.read b ~row:l.l_row ~col
-  | None -> no_attr oid b.Columns.b_ty attr
+let get_attr t oid attr = read_slot oid (find_loc t oid) attr
 
 (* Batch read with one location resolution — the materialized-view
    refresh loop reads every view attribute of a row at once. *)
-let get_attrs t oid attrs =
-  let l = find_loc t oid in
-  let b = l.l_block in
-  List.map
-    (fun attr ->
-      match Columns.pos b attr with
-      | Some col -> Columns.read b ~row:l.l_row ~col
-      | None -> no_attr oid b.Columns.b_ty attr)
-    attrs
+let get_attrs t oid attrs = List.map (read_slot oid (find_loc t oid)) attrs
 
 let row_stamp t oid =
   let l = find_loc t oid in
@@ -307,8 +324,7 @@ let set_attr t oid attr v =
     | Some col -> col
     | None -> no_attr oid b.Columns.b_ty attr
   in
-  let def = attr_def t b.Columns.b_ty attr in
-  check_value t (Attribute.ty def) v;
+  check_set t.index ~referent:(referent t) b.Columns.b_ty attr v;
   record t (Op_set { oid; attr; value = v });
   (match Columns.read b ~row:l.l_row ~col with
   | Value.Ref old -> remove_backref t ~target:old ~src:oid ~attr
@@ -371,11 +387,7 @@ let referrers t oid =
 let delete t ?(policy = Restrict) oid =
   let l = find_loc t oid in
   let refs = referrers t oid in
-  (match (policy, refs) with
-  | Restrict, (other, attr) :: _ ->
-      fail "cannot delete %a: referenced by %a.%s" Oid.pp oid Oid.pp other
-        (Attr_name.to_string attr)
-  | _ -> ());
+  check_delete policy oid refs;
   record t (Op_delete { oid; policy });
   t.tick <- t.tick + 1;
   (match policy with

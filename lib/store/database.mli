@@ -44,6 +44,41 @@ type op =
   | Op_delete of { oid : Oid.t; policy : delete_policy }
   | Op_set_schema of { source : string }
 
+(** {2 The object rules}
+
+    The checks every op passes, as functions of a compiled schema and a
+    referent lookup (the type of a live OID), not of a {!t}: the
+    columnar store and {!Tdp_txn.Mvcc}'s snapshots both validate through
+    them, so both give one verdict and one message.  Attributes come
+    from the memoized {!Schema_index.layout}.  All raise {!Store_error}. *)
+
+type referent = Oid.t -> Type_name.t option
+
+val no_object : Oid.t -> 'a
+val no_attr : Oid.t -> Type_name.t -> Attr_name.t -> 'a
+
+(** A creation under a fixed OID needs an unused, positive one. *)
+val check_fresh_oid : referent:referent -> Oid.t -> unit
+
+(** The row of a new object, one value per {!Schema_index.layout} entry
+    ([Null] where uninitialized).  Values must conform to their declared
+    types (a reference names a live object of a subtype); every unknown
+    attribute is reported. *)
+val build_row :
+  Schema_index.t -> referent:referent -> Type_name.t ->
+  init:(Attr_name.t * Value.t) list -> Value.t array
+
+val check_set :
+  Schema_index.t -> referent:referent -> Type_name.t -> Attr_name.t -> Value.t -> unit
+
+(** Refuses a [Restrict] delete with referrers, naming the first. *)
+val check_delete : delete_policy -> Oid.t -> (Oid.t * Attr_name.t) list -> unit
+
+(** The schema an [Op_set_schema] installs; refused without a loader. *)
+val schema_of_source : (string -> Schema.t) option -> string -> Schema.t
+
+(** {2 The columnar store} *)
+
 val create : Schema.t -> t
 val schema : t -> Schema.t
 
@@ -52,9 +87,6 @@ val schema : t -> Schema.t
     {!restore_object}), slot writes, deletions, schema swaps — calls it
     with the corresponding {!op} before taking effect. *)
 val set_journal : t -> (op -> unit) option -> unit
-
-(** Is a journal currently attached? *)
-val journaling : t -> bool
 
 (** Install a refactored schema.  Valid because projection preserves
     the cumulative state of every pre-existing type.  [source] is the

@@ -34,17 +34,25 @@ module String_map = Map.Make (String)
    the whole bracket back, and a crash mid-write leaves at most a begin
    without its commit, which replay discards — no torn state.
 
+   Every op is validated by {!Database}'s object rules, over the
+   snapshot's index and object map: one definition and one message
+   text for both stores.
+
    Domain-safety inventory (OCaml 5: reader domains run lock-free over
-   snapshots): [Oid.Map]/[Attr_name.Map] are immutable; the schema
-   index is built with [Schema_index.compile] (no shared intern table)
-   and reader paths use only [Schema_index.subtype] and the pure
-   [Hierarchy] attribute walks — never the lazily-memoized
-   [ancestor_set]/[cpl] entry points.  Publication is atomic: the
-   branch table is one immutable [String_map] behind an [Atomic.t]
-   (replaced whole, under the lock, by a fork), each branch head is an
-   [Atomic.t] (set by commit and replay under the lock), and [closed]
-   is atomic, so [head] and [branches] are plain loads that take no
-   lock.  Everything else a writer touches — versions, the txid
+   snapshots, and [stage] runs on session domains without the store
+   lock): [Oid.Map]/[Attr_name.Map] are immutable; the schema index is
+   built with [Schema_index.compile] (no shared intern table).  Reads
+   use only [Schema_index.subtype], a pure bit test; validation also
+   reads the memoized [layout]/[layout_positions], so two domains may
+   fill one memo cell at once.  Each cell is a write-once [option] slot
+   holding a value nobody mutates once built: a racing reader sees
+   [None] (and builds an equal value) or a fully built [Some], as OCaml
+   5 publishes a block's initializing writes with it.  Publication is
+   atomic: the branch table is one immutable [String_map] behind an
+   [Atomic.t] (replaced whole, under the lock, by a fork), each branch
+   head is an [Atomic.t] (set by commit and replay under the lock), and
+   [closed] is atomic, so [head] and [branches] are plain loads that
+   take no lock.  Everything else a writer touches — versions, the txid
    allocator, write-set history, the log writer — stays under the store
    lock.  [Obs.Metrics] is not thread-safe, so every metric below is
    recorded while holding the store lock. *)
@@ -82,13 +90,11 @@ let version s = s.version
 let schema s = s.schema
 let next_oid s = s.next_oid
 let count s = Oid.Map.cardinal s.objs
-let mem s oid = Oid.Map.mem oid s.objs
-let hierarchy s = Schema.hierarchy s.schema
 
 let find s oid =
   match Oid.Map.find_opt oid s.objs with
   | Some st -> st
-  | None -> fail "no object %a" Oid.pp oid
+  | None -> Database.no_object oid
 
 let type_of s oid = (find s oid).st_ty
 let slots s oid = (find s oid).st_slots
@@ -97,10 +103,7 @@ let get_attr s oid attr =
   let st = find s oid in
   match Attr_name.Map.find_opt attr st.st_slots with
   | Some v -> v
-  | None ->
-      fail "object %a of type %s has no attribute %s" Oid.pp oid
-        (Type_name.to_string st.st_ty)
-        (Attr_name.to_string attr)
+  | None -> Database.no_attr oid st.st_ty attr
 
 (* The deep extent of [ty] filtered by [keep], in OID order
    ([Oid.Map.fold] visits keys in order): one fold over the snapshot
@@ -143,65 +146,12 @@ let instances s expr =
   in
   go [] expr
 
-let objects s =
-  Oid.Map.fold (fun oid st acc -> (oid, st.st_ty, st.st_slots) :: acc) s.objs []
-  |> List.rev
+(* ---- op application ------------------------------------------------ *)
 
-(* ---- validation and op application --------------------------------- *)
+(* The object rules are {!Database}'s; finding referrers (a fold, where
+   the columnar store keeps a reverse index) is this module's own. *)
 
-(* Mirrors {!Database}'s validation, phrased over a snapshot.  The
-   rules must stay in lock-step: the transaction log replays through
-   [apply], and an op [Database] accepted must replay here. *)
-
-let check_value s attr_ty v =
-  match (attr_ty, (v : Value.t)) with
-  | _, Value.Null -> ()
-  | Value_type.Prim p, v ->
-      if not (Value.conforms_prim v p) then
-        fail "value %a does not conform to %s" Value.pp v (Value_type.prim_to_string p)
-  | Value_type.Named n, Value.Ref o -> (
-      match Oid.Map.find_opt o s.objs with
-      | None -> fail "dangling reference %a" Oid.pp o
-      | Some target ->
-          if not (Schema_index.subtype s.index target.st_ty n) then
-            fail "object %a of type %s is not a %s" Oid.pp o
-              (Type_name.to_string target.st_ty)
-              (Type_name.to_string n))
-  | Value_type.Named _, v -> fail "value %a is not an object reference" Value.pp v
-  | Value_type.Unknown, _ -> ()
-
-let attr_def s ty attr =
-  match Hierarchy.find_attribute (hierarchy s) ty attr with
-  | Some a -> a
-  | None ->
-      fail "type %s has no attribute %s" (Type_name.to_string ty)
-        (Attr_name.to_string attr)
-
-let build_slots s ty ~init =
-  if not (Hierarchy.mem (hierarchy s) ty) then
-    fail "unknown type %s" (Type_name.to_string ty);
-  let attrs = Hierarchy.all_attributes (hierarchy s) ty in
-  let slots =
-    List.fold_left
-      (fun slots a ->
-        let name = Attribute.name a in
-        let v =
-          match List.find_opt (fun (n, _) -> Attr_name.equal n name) init with
-          | Some (_, v) ->
-              check_value s (Attribute.ty a) v;
-              v
-          | None -> Value.Null
-        in
-        Attr_name.Map.add name v slots)
-      Attr_name.Map.empty attrs
-  in
-  List.iter
-    (fun (n, _) ->
-      if not (List.exists (fun a -> Attr_name.equal (Attribute.name a) n) attrs) then
-        fail "type %s has no attribute %s" (Type_name.to_string ty)
-          (Attr_name.to_string n))
-    init;
-  slots
+let referent s oid = Option.map (fun st -> st.st_ty) (Oid.Map.find_opt oid s.objs)
 
 let referrers s oid =
   Oid.Map.fold
@@ -224,21 +174,20 @@ let referrers s oid =
 let apply ?load_schema s (op : Database.op) =
   match op with
   | Database.Op_new { oid; ty; init } ->
-      if Oid.Map.mem oid s.objs then fail "oid %a already in use" Oid.pp oid;
-      if Oid.to_int oid < 1 then fail "non-positive oid %a" Oid.pp oid;
-      let st_slots = build_slots s ty ~init in
+      Database.check_fresh_oid ~referent:(referent s) oid;
+      let row = Database.build_row s.index ~referent:(referent s) ty ~init in
+      let st_slots = ref Attr_name.Map.empty in
+      Array.iteri
+        (fun i a -> st_slots := Attr_name.Map.add (Attribute.name a) row.(i) !st_slots)
+        (Schema_index.layout s.index ty);
       { s with
-        objs = Oid.Map.add oid { st_ty = ty; st_slots } s.objs;
+        objs = Oid.Map.add oid { st_ty = ty; st_slots = !st_slots } s.objs;
         next_oid = max s.next_oid (Oid.to_int oid + 1)
       }
   | Database.Op_set { oid; attr; value } ->
       let st = find s oid in
-      if not (Attr_name.Map.mem attr st.st_slots) then
-        fail "object %a of type %s has no attribute %s" Oid.pp oid
-          (Type_name.to_string st.st_ty)
-          (Attr_name.to_string attr);
-      let def = attr_def s st.st_ty attr in
-      check_value s (Attribute.ty def) value;
+      if not (Attr_name.Map.mem attr st.st_slots) then Database.no_attr oid st.st_ty attr;
+      Database.check_set s.index ~referent:(referent s) st.st_ty attr value;
       { s with
         objs =
           Oid.Map.add oid
@@ -248,11 +197,7 @@ let apply ?load_schema s (op : Database.op) =
   | Database.Op_delete { oid; policy } ->
       let _ = find s oid in
       let refs = referrers s oid in
-      (match (policy, refs) with
-      | Database.Restrict, (other, attr) :: _ ->
-          fail "cannot delete %a: referenced by %a.%s" Oid.pp oid Oid.pp other
-            (Attr_name.to_string attr)
-      | _ -> ());
+      Database.check_delete policy oid refs;
       let objs =
         match policy with
         | Database.Restrict -> s.objs
@@ -266,12 +211,9 @@ let apply ?load_schema s (op : Database.op) =
               s.objs refs
       in
       { s with objs = Oid.Map.remove oid objs }
-  | Database.Op_set_schema { source } -> (
-      match load_schema with
-      | None -> fail "schema op requires a schema loader"
-      | Some load ->
-          let schema = load source in
-          { s with schema; index = Schema_index.compile (Schema.hierarchy schema) })
+  | Database.Op_set_schema { source } ->
+      let schema = Database.schema_of_source load_schema source in
+      { s with schema; index = Schema_index.compile (Schema.hierarchy schema) }
 
 (* ---- write sets ---------------------------------------------------- *)
 
@@ -444,7 +386,6 @@ let begin_ ?(branch = main_branch) t =
       })
 
 let txid txn = txn.txid
-let txn_branch txn = txn.txn_branch
 let view txn = txn.overlay
 let state txn = txn.state
 
@@ -729,6 +670,7 @@ type opened = {
   txn_valid_bytes : int;
   txn_next_seq : int;
   tmp_removed : bool;
+  legacy_corruption : Wal.corruption option;  (** where the [wal.log] fold stopped *)
 }
 
 (* The byte offset at which record [seq] starts in a decoded log. *)
@@ -770,13 +712,16 @@ let replay_log ?load_schema ~base_seq (base : Database.t) txn =
     txn_corruption = corruption;
     txn_valid_bytes = valid;
     txn_next_seq = next_seq;
-    tmp_removed = false
+    tmp_removed = false;
+    legacy_corruption = None
   }
 
 let recover_text ?load_schema ~schema ?snapshot ?wal ?(txn = "") () =
   let legacy = Wal.fold_legacy ?load_schema ~schema ?snapshot ?wal () in
   let base_seq = Option.fold ~none:0 ~some:Dump.txn_seq snapshot in
-  replay_log ?load_schema ~base_seq legacy.Wal.db txn
+  { (replay_log ?load_schema ~base_seq legacy.Wal.db txn) with
+    legacy_corruption = legacy.Wal.corruption
+  }
 
 let snapshot_file = "snapshot.dump"
 let wal_file = "wal.log"
@@ -816,7 +761,7 @@ let open_dir ?load_schema ?(sync = true) ~schema dir =
     Wal.reset writer ~valid_bytes:o.txn_valid_bytes ~next_seq:o.txn_next_seq;
     o.store.writer <- Some writer;
     o.store.dir <- Some dir;
-    { o with tmp_removed }
+    { o with tmp_removed; legacy_corruption = base.corruption }
   with
   | o -> o
   | exception exn ->

@@ -43,13 +43,11 @@ type snapshot
 val version : snapshot -> int
 
 val schema : snapshot -> Schema.t
-val hierarchy : snapshot -> Hierarchy.t
 
 (** The next OID {!new_object} would allocate over this snapshot. *)
 val next_oid : snapshot -> int
 
 val count : snapshot -> int
-val mem : snapshot -> Oid.t -> bool
 
 (** @raise Database.Store_error on an unknown OID / attribute. *)
 val type_of : snapshot -> Oid.t -> Type_name.t
@@ -70,8 +68,6 @@ val extent : snapshot -> Type_name.t -> Oid.t list
     [Database.Store_error] when a predicate names an attribute an
     instance lacks. *)
 val instances : snapshot -> Tdp_algebra.View.expr -> Oid.t list
-
-val objects : snapshot -> (Oid.t * Type_name.t * Value.t Attr_name.Map.t) list
 
 (** Materialize as a mutable {!Database} (the bridge to {!Dump}). *)
 val to_database : snapshot -> Database.t
@@ -122,7 +118,6 @@ val commit_error_message : commit_error -> string
 val begin_ : ?branch:string -> t -> txn
 
 val txid : txn -> int
-val txn_branch : txn -> string
 val state : txn -> txn_state
 
 (** The transaction's private view: its base snapshot plus every op it
@@ -222,6 +217,9 @@ type opened = {
   txn_valid_bytes : int;
   txn_next_seq : int;
   tmp_removed : bool;  (** an orphaned snapshot [.tmp] was cleaned up *)
+  legacy_corruption : Wal.corruption option;
+      (** why the legacy [wal.log] fold stopped early, if it did: the
+          records from there on were dropped *)
 }
 
 (** Recover a store from snapshot / legacy [wal.log] / transaction-log

@@ -6,10 +6,13 @@
    (new/set/delete/set_schema) through the columnar store and a
    map-backed oracle that transcribes the pre-columnar implementation
    verbatim, then asserts identical extents, slots, referrers, error
-   outcomes, and dump round-trips.  Unit tests pin the block mechanics
-   the oracle cannot see: free-list reuse, null bitmaps, growth,
-   layout routing across schema evolution, vectorized scans, and
-   matview dirty-row skipping. *)
+   outcomes, and dump round-trips.  An [Mvcc] store rides along as a
+   third side, each op a one-op transaction: it validates through
+   [Database]'s object rules, so its verdicts and error texts must be
+   the columnar store's, and its head the oracle's.  Unit tests pin
+   the block mechanics the oracle cannot see: free-list reuse, null
+   bitmaps, growth, layout routing across schema evolution, vectorized
+   scans, and matview dirty-row skipping. *)
 
 open Tdp_core
 module Database = Tdp_store.Database
@@ -19,6 +22,7 @@ module Value = Tdp_store.Value
 module Pred = Tdp_algebra.Pred
 module View = Tdp_algebra.View
 module Matview = Tdp_algebra.Matview
+module Mvcc = Tdp_txn.Mvcc
 open Helpers
 
 let team_def =
@@ -205,7 +209,7 @@ let value_gen =
 let attr_gen =
   QCheck.Gen.oneofl
     [ "ssn"; "name"; "date_of_birth"; "pay_rate"; "hrs_worked"; "manager";
-      "buddy"; "bogus"
+      "buddy"; "bogus"; "nope"
     ]
 
 let type_gen =
@@ -242,38 +246,94 @@ let ops_arbitrary =
     ~print:(fun ops -> String.concat "\n" (List.map pp_gop ops))
     ~shrink:QCheck.Shrink.(list ~shrink:nil)
 
-(* Apply one op to both stores; a [Some _/None] outcome records
-   success/failure and the two must agree. *)
-let apply_pair db o op =
-  let db_r f = try Some (f ()) with Database.Store_error _ -> None in
-  let o_r f = try Some (f ()) with Oracle.Err -> None in
-  let agree what a b =
-    if (a = None) <> (b = None) then
-      Alcotest.failf "%s: columnar %s, oracle %s" what
-        (if a = None then "failed" else "succeeded")
-        (if b = None then "failed" else "succeeded")
+(* Apply one op to the columnar store, the oracle and — when given — an
+   [Mvcc] store, as a one-op transaction there.  Success/failure must
+   agree on all sides, along with the allocated OID; Mvcc validates
+   through Database's object rules, so its outcome, error text
+   included, must equal the columnar store's. *)
+let apply_pair ?mvcc db o op =
+  let db_r f = match f () with x -> Ok x | exception Database.Store_error m -> Error m in
+  let o_r f = match f () with x -> Some x | exception Oracle.Err -> None in
+  let mvcc_r f =
+    Option.map
+      (fun store ->
+        let txn = Mvcc.begin_ store in
+        match f txn with
+        | x -> (
+            match Mvcc.commit txn with
+            | Ok _ -> Ok x
+            | Error e -> Error (Mvcc.commit_error_message e))
+        | exception Database.Store_error m ->
+            Mvcc.abort txn;
+            Error m)
+      mvcc
   in
+  let agree a b m =
+    let what = pp_gop op in
+    (match (a, b) with
+    | Ok x, Some y -> Alcotest.(check int) (what ^ ": allocated oid") y x
+    | Error _, None -> ()
+    | _ ->
+        Alcotest.failf "%s: columnar %s, oracle %s" what
+          (if Result.is_ok a then "succeeded" else "failed")
+          (if b = None then "failed" else "succeeded"));
+    Option.iter (Alcotest.(check (result int string)) (what ^ ": mvcc = columnar") a) m
+  in
+  let oid = Oid.of_int in
   match op with
   | GNew (t, init) ->
       let init = List.map (fun (a, v) -> (at a, v)) init in
-      let a = db_r (fun () -> Database.new_object db (ty t) ~init) in
-      let b = o_r (fun () -> Oracle.new_object o (ty t) ~init) in
-      agree (pp_gop op) (Option.map (fun _ -> ()) a) (Option.map (fun _ -> ()) b);
-      (match (a, b) with
-      | Some x, Some y ->
-          Alcotest.(check int) "allocated oid" y (Oid.to_int x)
-      | _ -> ())
+      agree
+        (db_r (fun () -> Oid.to_int (Database.new_object db (ty t) ~init)))
+        (o_r (fun () -> Oracle.new_object o (ty t) ~init))
+        (mvcc_r (fun txn -> Oid.to_int (Mvcc.new_object txn (ty t) ~init)))
   | GSet (oi, attr, v) ->
-      let a = db_r (fun () -> Database.set_attr db (Oid.of_int oi) (at attr) v) in
-      let b = o_r (fun () -> Oracle.set_attr o oi (at attr) v) in
-      agree (pp_gop op) a b
+      agree
+        (db_r (fun () -> Database.set_attr db (oid oi) (at attr) v; 0))
+        (o_r (fun () -> Oracle.set_attr o oi (at attr) v; 0))
+        (mvcc_r (fun txn -> Mvcc.set_attr txn (oid oi) (at attr) v; 0))
   | GDel (oi, policy) ->
-      let a = db_r (fun () -> Database.delete db ~policy (Oid.of_int oi)) in
-      let b = o_r (fun () -> Oracle.delete o ~policy oi) in
-      agree (pp_gop op) a b
+      agree
+        (db_r (fun () -> Database.delete db ~policy (oid oi); 0))
+        (o_r (fun () -> Oracle.delete o ~policy oi; 0))
+        (mvcc_r (fun txn -> Mvcc.delete txn ~policy (oid oi); 0))
   | GEvolve ->
       Database.set_schema db evolved_schema;
-      Oracle.set_schema o evolved_schema
+      Oracle.set_schema o evolved_schema;
+      agree (Ok 0) (Some 0)
+        (mvcc_r (fun txn -> Mvcc.set_schema txn ~source:"evolved"; 0))
+
+let extent_types = [ "Person"; "Employee"; "Team"; "Employee_hat"; "Nope" ]
+
+(* An Mvcc head must hold the oracle's population, slots, extents and
+   the columnar store's dump. *)
+let check_mvcc_agreement store db o =
+  let snap = Mvcc.head store ~branch:Mvcc.main_branch in
+  Alcotest.(check int) "mvcc count" (Hashtbl.length o.Oracle.objs) (Mvcc.count snap);
+  for oi = 1 to 60 do
+    let oid = Oid.of_int oi in
+    let mine = try Some (Mvcc.slots snap oid) with Database.Store_error _ -> None in
+    match (Hashtbl.find_opt o.Oracle.objs oi, mine) with
+    | None, None -> ()
+    | Some ob, Some slots ->
+        Alcotest.(check bool)
+          (Fmt.str "mvcc slots of #%d" oi)
+          true
+          (Attr_name.Map.equal Value.equal ob.Oracle.o_slots slots);
+        Alcotest.(check string)
+          (Fmt.str "mvcc type of #%d" oi)
+          (Type_name.to_string ob.Oracle.o_ty)
+          (Type_name.to_string (Mvcc.type_of snap oid))
+    | _ -> Alcotest.failf "mvcc population of #%d disagrees" oi
+  done;
+  List.iter
+    (fun t ->
+      Alcotest.(check (list int))
+        (Fmt.str "mvcc extent %s" t)
+        (Oracle.extent o (ty t))
+        (List.map Oid.to_int (Mvcc.extent snap (ty t))))
+    extent_types;
+  Alcotest.(check string) "mvcc dump" (Dump.to_string db) (Mvcc.dump snap)
 
 let check_agreement db o =
   (* object population and slots *)
@@ -332,7 +392,7 @@ let check_agreement db o =
         Database.extent db (ty t) |> List.map Oid.to_int
       in
       Alcotest.(check (list int)) (Fmt.str "extent %s" t) (Oracle.extent o (ty t)) x)
-    [ "Person"; "Employee"; "Team"; "Employee_hat"; "Nope" ];
+    extent_types;
   (* dump round-trip: the columnar store serializes and reloads to an
      identical population *)
   let dump = Dump.to_string db in
@@ -346,8 +406,10 @@ let prop_differential =
     ops_arbitrary (fun ops ->
       let db = Database.create base_schema in
       let o = Oracle.create base_schema in
-      List.iter (fun op -> apply_pair db o op) ops;
+      let mvcc = Mvcc.create ~load_schema:(fun _ -> evolved_schema) base_schema in
+      List.iter (fun op -> apply_pair ~mvcc db o op) ops;
       check_agreement db o;
+      check_mvcc_agreement mvcc db o;
       true)
 
 (* Pred.scan must agree with per-object eval on every generated store,

@@ -322,6 +322,11 @@ let diff_stmts =
     "call income on Employee;";
     "call age on Cheap;";
     "set #1 { pay_rate = 75.5 };";
+    (* rejected writes: the served store validates through Database's
+       object rules, so all three frontends print the same message *)
+    "new Employee { foo = 1; bar = 2 };";
+    "set #1 { nope = 1 };";
+    "set #1 { ssn = \"x\" };";
     ":extent Cheap";
     ":type Cheap";
     "let q = select Cheap where ssn == 1;";

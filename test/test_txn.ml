@@ -219,6 +219,46 @@ let test_head_lock_free_readers () =
   Alcotest.(check int) "last head" (rounds + 1)
     (Mvcc.version (Mvcc.head s ~branch:Mvcc.main_branch))
 
+(* [stage] runs on session domains without the store lock, and
+   validation reads the memoized [Schema_index] layouts.  Domains that
+   stage the first [new]s over a freshly compiled index race to fill
+   the same memo cells; every staged row must equal a sequential run's. *)
+let test_concurrent_staging () =
+  let open Tdp_core in
+  let schema =
+    Tdp_synth.Synth.generate { Tdp_synth.Synth.default with n_types = 48; attrs_per_type = 3 }
+  in
+  let h = Schema.hierarchy schema in
+  let types = Hierarchy.type_names h in
+  let init_of ty =
+    List.mapi (fun i a -> (Attribute.name a, Value.Int i)) (Hierarchy.all_attributes h ty)
+  in
+  let rows_of s =
+    let t = Mvcc.begin_ s in
+    let rows =
+      List.map (fun ty -> Mvcc.slots (Mvcc.view t) (Mvcc.new_object t ty ~init:(init_of ty))) types
+    in
+    Mvcc.abort t;
+    rows
+  in
+  let expected = rows_of (Mvcc.create schema) in
+  let k = 4 in
+  for _ = 1 to 10 do
+    (* a fresh store compiles a fresh index: every memo cell is empty *)
+    let s = Mvcc.create schema in
+    let ready = Atomic.make 0 in
+    let worker () =
+      Atomic.incr ready;
+      while Atomic.get ready < k do Domain.cpu_relax () done;
+      rows_of s
+    in
+    List.iter
+      (fun rows ->
+        Alcotest.(check bool) "staged rows equal the sequential run's" true
+          (List.equal (Attr_name.Map.equal Value.equal) expected rows))
+      (List.map Domain.join (List.init k (fun _ -> Domain.spawn worker)))
+  done
+
 let ssn_on s branch o =
   Dump.value_to_string (Mvcc.get_attr (Mvcc.head s ~branch) o (at "ssn"))
 
@@ -863,6 +903,8 @@ let suite =
     Alcotest.test_case "branches are independent" `Quick test_branches;
     Alcotest.test_case "lock-free heads: monotone and whole" `Quick
       test_head_lock_free_readers;
+    Alcotest.test_case "concurrent staging over a fresh index" `Quick
+      test_concurrent_staging;
     Alcotest.test_case "head of forked and replayed-fork branches" `Quick
       test_head_of_forked_branches;
     Alcotest.test_case "head after close" `Quick test_head_after_close;

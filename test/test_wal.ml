@@ -342,6 +342,8 @@ let test_legacy_first_open () =
       Alcotest.(check string) "state is the two-log recovery"
         (read_file (golden "legacy_store.recovered")) dump;
       Alcotest.(check int) "both served commits replayed" 2 o.Mvcc.txn_applied;
+      Alcotest.(check (option int)) "the fold reports the damaged w 7" (Some 7)
+        (Option.map (fun (c : Wal.corruption) -> c.at_seq) o.Mvcc.legacy_corruption);
       Alcotest.(check bool) "wal.log removed" false
         (Sys.file_exists (Filename.concat dir "wal.log"));
       Alcotest.(check string) "the folded snapshot is the two-log store dump"
@@ -355,7 +357,9 @@ let test_legacy_reopen () =
       let _, first = open_legacy dir schema in
       let o, again = open_legacy dir schema in
       Alcotest.(check string) "reopen is equal" first again;
-      Alcotest.(check int) "the log still replays" 2 o.Mvcc.txn_applied)
+      Alcotest.(check int) "the log still replays" 2 o.Mvcc.txn_applied;
+      Alcotest.(check bool) "nothing left to fold, nothing reported" true
+        (o.Mvcc.legacy_corruption = None))
 
 let test_legacy_crash_window () =
   with_legacy_store (fun dir schema ->
