@@ -18,8 +18,9 @@
                                              instrumented pass + the columnar
                                              store sweep + replica/router
                                              throughput + the statement
-                                             language's eval path; FILE
-                                             defaults to BENCH_11.json,
+                                             language's eval path + MVCC
+                                             snapshot reads; FILE
+                                             defaults to BENCH_12.json,
                                              "-" = stdout)
         dune exec bench/main.exe -- bench --check FILE
                                             (re-measure in --small mode and
@@ -1105,6 +1106,115 @@ let session_point n =
   let t_extent = time_it (fun () -> Tdp_lang.Session.eval s extent_stmt) in
   (t_type, t_extent)
 
+(* ------------------------------------------------------------------ *)
+(* S12: MVCC snapshot reads over the columnar base                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A snapshot's selections run [Pred.scan] over its immutable base and
+   a per-row test over its delta, so on the same rows they must stay
+   close to a bare scan.  [n] named Employees (ssn = 0..n-1) become the first
+   base of an in-memory store; [delta] committed updates then sit in
+   the head's delta (below the compaction threshold). *)
+type mvcc_point = {
+  mp_n : int;
+  mp_delta : int;
+  mp_eq_ns : float;  (* Mvcc.instances, one-row ssn == k *)
+  mp_eq_scan_ns : float;  (* Pred.scan of the same predicate over the base *)
+  mp_range_ns : float;  (* Mvcc.instances, ssn < n/200 *)
+  mp_range_scan_ns : float;
+  mp_get_ns : float;  (* Mvcc.get_attr, one read *)
+  mp_compact_ns : float;  (* one compaction of base + delta *)
+}
+
+let mvcc_point ~n ~delta =
+  let employee = ty "Employee" in
+  (* distinct names, as a served store holds: a compaction copies the
+     string pool too *)
+  let db = Tdp_store.Database.create (Fig1.project ()).schema in
+  Tdp_store.Database.reserve db n;
+  for i = 0 to n - 1 do
+    ignore
+      (Tdp_store.Database.new_object db employee
+         ~init:((at "name", Tdp_store.Value.String (Fmt.str "e%07d" i)) :: employee_init i))
+  done;
+  let store = Mvcc.of_database db in
+  (* the updates set hrs_worked on [delta] distinct rows, in
+     transactions of 8 *)
+  let rec commit_updates k =
+    if k < delta then begin
+      let t = Mvcc.begin_ store in
+      for j = k to min delta (k + 8) - 1 do
+        Mvcc.set_attr t
+          (Tdp_store.Oid.of_int (1 + (j * 7919 mod n)))
+          (at "hrs_worked") (Tdp_store.Value.Float 41.0)
+      done;
+      (match Mvcc.commit t with
+      | Ok _ -> ()
+      | Error e -> failwith (Mvcc.commit_error_message e));
+      commit_updates (k + 8)
+    end
+  in
+  commit_updates 0;
+  let snap = Mvcc.head store ~branch:Mvcc.main_branch in
+  let cmp op v =
+    Tdp_algebra.Pred.Cmp { attr = at "ssn"; op; value = Body.Int v }
+  in
+  let eq = cmp Eq (n / 2) and range = cmp Lt (n / 200) in
+  let select p = Tdp_algebra.View.Select (Tdp_algebra.View.Base employee, p) in
+  (* the snapshot's answer must be the scan's: no update touches ssn *)
+  assert (Mvcc.instances snap (select eq) = Tdp_algebra.Pred.scan db employee eq);
+  Gc.full_major ();
+  (* The floors compare two timings, so they are taken in alternation,
+     five rounds each, and each side's median kept: a drift in the
+     machine's speed then moves both sides, not the ratio. *)
+  let paired a b =
+    let rounds = List.init 5 (fun _ -> (time_it a, time_it b)) in
+    let med l = List.nth (List.sort Float.compare l) 2 in
+    (med (List.map fst rounds), med (List.map snd rounds))
+  in
+  let t_eq, t_eq_scan =
+    paired
+      (fun () -> Mvcc.instances snap (select eq))
+      (fun () -> Tdp_algebra.Pred.scan db employee eq)
+  in
+  let t_range, t_range_scan =
+    paired
+      (fun () -> Mvcc.instances snap (select range))
+      (fun () -> Tdp_algebra.Pred.scan db employee range)
+  in
+  let k = ref 0 in
+  let t_get =
+    time_it (fun () ->
+        k := (!k + 7919) mod n;
+        Mvcc.get_attr snap (Tdp_store.Oid.of_int (1 + !k)) (at "ssn"))
+  in
+  let t_compact = time_it (fun () -> Mvcc.to_database snap) in
+  { mp_n = n;
+    mp_delta = delta;
+    mp_eq_ns = ns t_eq;
+    mp_eq_scan_ns = ns t_eq_scan;
+    mp_range_ns = ns t_range;
+    mp_range_scan_ns = ns t_range_scan;
+    mp_get_ns = ns t_get;
+    mp_compact_ns = ns t_compact
+  }
+
+(* 100k rows (20k under --small), 1% of them in the delta *)
+let mvcc_bench ~small =
+  let n = if small then 20_000 else 100_000 in
+  mvcc_point ~n ~delta:(n / 100)
+
+let table_s12 () =
+  section "S12: MVCC snapshot reads over the columnar base (fig1 Employees)";
+  let p = mvcc_bench ~small:false in
+  row3 "objects / delta" (Fmt.str "%d / %d" p.mp_n p.mp_delta) "";
+  row3 "select ssn == k" (Fmt.str "%a" pp_time (p.mp_eq_ns /. 1e9))
+    (Fmt.str "Pred.scan %a" pp_time (p.mp_eq_scan_ns /. 1e9));
+  row3 "select ssn < n/200" (Fmt.str "%a" pp_time (p.mp_range_ns /. 1e9))
+    (Fmt.str "Pred.scan %a" pp_time (p.mp_range_scan_ns /. 1e9));
+  row3 "get_attr" (Fmt.str "%a" pp_time (p.mp_get_ns /. 1e9)) "";
+  row3 "compaction" (Fmt.str "%a" pp_time (p.mp_compact_ns /. 1e9)) ""
+
 let table_s11 () =
   section "S11: replica catch-up and routed extents (fig1 Employees)";
   row3 "shipped creations" "catch-up per creation" "idle poll";
@@ -1313,6 +1423,7 @@ let json_report ~small =
   (* the acceptance floors for the columnar engine are keyed on the
      100k point, which every mode measures *)
   let c100k = List.find (fun p -> p.cp_n = 100_000) cols in
+  let mp = mvcc_bench ~small in
   (* the smallest sweep point is measured in every mode, so its entries
      carry stable names the --check regression gate can key on *)
   let p0 = List.hd sweep in
@@ -1348,7 +1459,11 @@ let json_report ~small =
       { name = "repl/eval/extent-row";
         ns_per_op = ns t_repl_extent /. float_of_int repl_n
       };
-      { name = "projection/define/checked"; ns_per_op = ns t_define }
+      { name = "projection/define/checked"; ns_per_op = ns t_define };
+      { name = "mvcc/instances/select-eq"; ns_per_op = mp.mp_eq_ns };
+      { name = "mvcc/instances/select-range"; ns_per_op = mp.mp_range_ns };
+      { name = "mvcc/get_attr"; ns_per_op = mp.mp_get_ns };
+      { name = "mvcc/compact"; ns_per_op = mp.mp_compact_ns }
     ]
     @ List.concat_map
         (fun p ->
@@ -1420,6 +1535,18 @@ let json_report ~small =
         uncached_ns = c100k.cp_mv_force_ns;
         cached_ns = c100k.cp_mv_steady_ns;
         ops = c100k.cp_n
+      };
+      (* snapshot selections against a bare scan of the same rows; the
+         --check floor keeps the snapshot within 2x (speedup >= 0.5) *)
+      { s_name = "mvcc/select-eq/scan-vs-snapshot";
+        uncached_ns = mp.mp_eq_scan_ns;
+        cached_ns = mp.mp_eq_ns;
+        ops = mp.mp_n
+      };
+      { s_name = "mvcc/select-range/scan-vs-snapshot";
+        uncached_ns = mp.mp_range_scan_ns;
+        cached_ns = mp.mp_range_ns;
+        ops = mp.mp_n
       }
     ]
   in
@@ -1432,11 +1559,12 @@ let json_report ~small =
     (Fmt.str
        "  \"config\": { \"small\": %b, \"methods\": %d, \"views\": %d, \
         \"sweep_sizes\": [%s], \"sweep_queries\": %d, \
-        \"columnar_sizes\": [%s] },\n"
+        \"columnar_sizes\": [%s], \"mvcc_rows\": %d, \"mvcc_delta\": %d },\n"
        small methods n_views
        (String.concat ", " (List.map string_of_int (sweep_sizes ~small)))
        sweep_queries
-       (String.concat ", " (List.map string_of_int (columnar_sizes ~small))));
+       (String.concat ", " (List.map string_of_int (columnar_sizes ~small)))
+       mp.mp_n mp.mp_delta);
   Buffer.add_string buf
     (Fmt.str
        "  \"dispatch_table\": { \"entries\": %d, \"hits\": %d, \"misses\": %d },\n"
@@ -1531,7 +1659,13 @@ let guarded_benchmarks =
     "repl/eval/extent-row";
     (* a checked view definition, preservation proof included; absent
        from BENCH_10.json and older baselines, first in BENCH_11.json *)
-    "projection/define/checked"
+    "projection/define/checked";
+    (* snapshot reads over the columnar base and one compaction; first
+       in BENCH_12.json *)
+    "mvcc/instances/select-eq";
+    "mvcc/instances/select-range";
+    "mvcc/get_attr";
+    "mvcc/compact"
   ]
 let check_tolerance = 3.0
 
@@ -1539,9 +1673,14 @@ let check_tolerance = 3.0
    the columnar engine's reason to exist is these wins, so losing them
    is a gate failure even when no guarded entry regressed.  Keyed on
    the speedup records of the current --small report (both modes
-   measure the 100k point). *)
+   measure the 100k point).  A snapshot selection must stay within 2x
+   of a bare [Pred.scan] over the same rows (speedup >= 0.5). *)
 let required_speedups =
-  [ ("store/extent/columnar-vs-map", 10.0); ("scan/pred/columnar-vs-map", 10.0) ]
+  [ ("store/extent/columnar-vs-map", 10.0);
+    ("scan/pred/columnar-vs-map", 10.0);
+    ("mvcc/select-eq/scan-vs-snapshot", 0.5);
+    ("mvcc/select-range/scan-vs-snapshot", 0.5)
+  ]
 
 let read_file path =
   let ic = open_in_bin path in
@@ -1636,7 +1775,7 @@ let () =
   let rec out_of = function
     | "--out" :: v :: _ -> v
     | _ :: rest -> out_of rest
-    | [] -> "BENCH_11.json"
+    | [] -> "BENCH_12.json"
   in
   let rec check_of = function
     | "--check" :: v :: _ -> Some v
@@ -1668,6 +1807,7 @@ let () =
     table_s9 ();
     table_s10 ();
     table_s11 ();
+    table_s12 ();
     Fmt.pr "@.done.@."
   end
   else begin

@@ -207,8 +207,8 @@ let rec view_str (v : View.expr) =
       Fmt.str "generalize %s with %s" (view_str a) (view_str b)
   | Join (a, b) -> Fmt.str "join %s with %s" (view_str a) (view_str b)
 
-let value_str v = Fmt.str "%a" Value.pp v
-let oid_str oid = Fmt.str "%a" Oid.pp oid
+let value_str = Value.to_string
+let oid_str oid = "#" ^ string_of_int (Oid.to_int oid)
 let key_str k = Fmt.str "%a" Method_def.Key.pp k
 
 (* ------------------------------------------------------------------ *)
@@ -584,23 +584,43 @@ let render (o : outcome) : string =
   | Shown expr -> view_str expr
   | Typed p -> Fmt.str "%a" Infer.pp_principal p
   | Extent { attrs; rows; _ } ->
-      let row (oid, values) =
-        Fmt.str "%s {%s}" (oid_str oid)
-          (String.concat "; "
-             (List.map2
-                (fun a v -> Fmt.str "%a = %s" Attr_name.pp a (value_str v))
-                attrs values))
-      in
-      String.concat "\n"
-        (Fmt.str "extent: %d" (List.length rows) :: List.map row rows)
+      (* one buffer for the whole text: a served scan renders hundreds
+         of rows per request *)
+      let b = Buffer.create (128 * (List.length rows + 1)) in
+      Buffer.add_string b "extent: ";
+      Buffer.add_string b (string_of_int (List.length rows));
+      List.iter
+        (fun (oid, values) ->
+          Buffer.add_char b '\n';
+          Buffer.add_string b (oid_str oid);
+          Buffer.add_string b " {";
+          let sep = ref "" in
+          List.iter2
+            (fun a v ->
+              Buffer.add_string b !sep;
+              sep := "; ";
+              Buffer.add_string b (Attr_name.to_string a);
+              Buffer.add_string b " = ";
+              Value.add_to_buffer b v)
+            attrs values;
+          Buffer.add_char b '}')
+        rows;
+      Buffer.contents b
   | Called { gf; results } ->
       if results = [] then "no instances"
-      else
-        String.concat "\n"
-          (List.map
-             (fun (oid, v) ->
-               Fmt.str "%s(%s) = %s" gf (oid_str oid) (value_str v))
-             results)
+      else begin
+        let b = Buffer.create 256 in
+        List.iteri
+          (fun i (oid, v) ->
+            if i > 0 then Buffer.add_char b '\n';
+            Buffer.add_string b gf;
+            Buffer.add_char b '(';
+            Buffer.add_string b (oid_str oid);
+            Buffer.add_string b ") = ";
+            Value.add_to_buffer b v)
+          results;
+        Buffer.contents b
+      end
   | Created { oid; ty } ->
       Fmt.str "created %s : %a" (oid_str oid) Type_name.pp ty
   | Updated { oid; attrs } ->

@@ -54,6 +54,8 @@ module Pool = struct
   let find t s = Hashtbl.find_opt t.ids s
   let get t i = t.strings.(i)
   let size t = t.n
+
+  let copy t = { t with strings = Array.copy t.strings; ids = Hashtbl.copy t.ids }
 end
 
 (* ---- columns -------------------------------------------------------- *)
@@ -75,6 +77,7 @@ type column = {
 }
 
 type t = {
+  b_num : int;  (* the database's number for this block *)
   b_ty : Type_name.t;
   b_pool : Pool.t;
   b_layout : Attribute.t array;
@@ -103,7 +106,7 @@ let data_for (vt : Value_type.t) cap : data =
   | Named _ -> Refs (Array.make cap 0)
   | Unknown -> Boxed (Array.make cap Value.Null)
 
-let make ~pool ~gen ty layout =
+let make ~pool ~gen ~num ty layout =
   Obs.Metrics.time m_build_ns (fun () ->
       Obs.Metrics.incr c_blocks;
       let pos = ref Attr_name.Map.empty in
@@ -117,7 +120,8 @@ let make ~pool ~gen ty layout =
       let name_order =
         Array.of_list (List.map snd (Attr_name.Map.bindings !pos))
       in
-      { b_ty = ty;
+      { b_num = num;
+        b_ty = ty;
         b_pool = pool;
         b_layout = layout;
         b_pos = !pos;
@@ -154,43 +158,55 @@ let is_live b row = row < b.b_len && Bytes.get b.b_alive row = '\001'
 let stamp b row = b.b_stamps.(row)
 let set_stamp b row s = b.b_stamps.(row) <- s
 
-let grow b cap' =
-  Obs.Metrics.incr c_grows;
-  let blit_i (a : int array) fill =
-    let a' = Array.make cap' fill in
-    Array.blit a 0 a' 0 b.b_cap;
+(* [b] with every array reallocated at capacity [cap'] and holding its
+   first [n] rows; rows past [n] are null and dead.  [b] is untouched:
+   the columns are fresh records. *)
+let resized b ~n cap' =
+  let ints (a : int array) =
+    let a' = Array.make cap' 0 in
+    Array.blit a 0 a' 0 n;
     a'
   in
-  let blit_b (bs : Bytes.t) =
-    let bs' = Bytes.make cap' '\000' in
-    Bytes.blit bs 0 bs' 0 b.b_cap;
+  let bytes bs fill =
+    let bs' = Bytes.make cap' fill in
+    Bytes.blit bs 0 bs' 0 n;
     bs'
   in
-  Array.iter
-    (fun c ->
-      (c.c_data <-
-         (match c.c_data with
-         | Ints a -> Ints (blit_i a 0)
-         | Floats a ->
-             let a' = Array.make cap' 0. in
-             Array.blit a 0 a' 0 b.b_cap;
-             Floats a'
-         | Strings a -> Strings (blit_i a 0)
-         | Bools bs -> Bools (blit_b bs)
-         | Dates a -> Dates (blit_i a 0)
-         | Refs a -> Refs (blit_i a 0)
-         | Boxed a ->
-             let a' = Array.make cap' Value.Null in
-             Array.blit a 0 a' 0 b.b_cap;
-             Boxed a'));
-      c.c_nulls <-
-        (let n = Bytes.make cap' '\001' in
-         Bytes.blit c.c_nulls 0 n 0 b.b_cap;
-         n))
+  let data = function
+    | Ints a -> Ints (ints a)
+    | Floats a ->
+        let a' = Array.make cap' 0. in
+        Array.blit a 0 a' 0 n;
+        Floats a'
+    | Strings a -> Strings (ints a)
+    | Bools bs -> Bools (bytes bs '\000')
+    | Dates a -> Dates (ints a)
+    | Refs a -> Refs (ints a)
+    | Boxed a ->
+        let a' = Array.make cap' Value.Null in
+        Array.blit a 0 a' 0 n;
+        Boxed a'
+  in
+  { b with
+    b_cols =
+      Array.map (fun c -> { c with c_data = data c.c_data; c_nulls = bytes c.c_nulls '\001' }) b.b_cols;
+    b_oids = ints b.b_oids;
+    b_stamps = ints b.b_stamps;
+    b_alive = bytes b.b_alive '\000';
+    b_cap = cap'
+  }
+
+let grow b cap' =
+  Obs.Metrics.incr c_grows;
+  let r = resized b ~n:b.b_cap cap' in
+  Array.iteri
+    (fun i c ->
+      c.c_data <- r.b_cols.(i).c_data;
+      c.c_nulls <- r.b_cols.(i).c_nulls)
     b.b_cols;
-  b.b_oids <- blit_i b.b_oids 0;
-  b.b_stamps <- blit_i b.b_stamps 0;
-  b.b_alive <- blit_b b.b_alive;
+  b.b_oids <- r.b_oids;
+  b.b_stamps <- r.b_stamps;
+  b.b_alive <- r.b_alive;
   b.b_cap <- cap'
 
 let alloc b oid =
@@ -260,6 +276,13 @@ let write b ~row ~col (v : Value.t) =
           (* unreachable behind Database.check_value: a typed column only
              ever receives its own value kind *)
           invalid_arg "Columns.write: value kind does not match column")
+
+(* Writes to either block never reach the other: every mutable array is
+   reallocated, with an eighth of headroom past the used rows rather
+   than the old capacity (a copied base is a compaction's output, and
+   its size is what the next compaction copies). *)
+let copy ~pool b =
+  { (resized b ~n:b.b_len (min b.b_cap (b.b_len + (b.b_len / 8) + 8))) with b_pool = pool }
 
 let iter_live b f =
   for row = 0 to b.b_len - 1 do

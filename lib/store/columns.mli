@@ -41,6 +41,10 @@ module Pool : sig
 
   val get : t -> int -> string
   val size : t -> int
+
+  (** An independent copy: interning into either never changes the
+      other. *)
+  val copy : t -> t
 end
 
 type data =
@@ -60,6 +64,7 @@ type column = {
 }
 
 type t = {
+  b_num : int;  (** the owning database's number for this block *)
   b_ty : Type_name.t;
   b_pool : Pool.t;
   b_layout : Attribute.t array;
@@ -78,7 +83,11 @@ type t = {
   mutable b_max_oid : int;
 }
 
-val make : pool:Pool.t -> gen:int -> Type_name.t -> Attribute.t array -> t
+val make : pool:Pool.t -> gen:int -> num:int -> Type_name.t -> Attribute.t array -> t
+
+(** An independent copy of a block whose strings intern into [pool]
+    (a {!Pool.copy} of the block's own pool). *)
+val copy : pool:Pool.t -> t -> t
 
 (** Column index of an attribute, if in the layout. *)
 val pos : t -> Attr_name.t -> int option

@@ -36,15 +36,15 @@ type op =
    stamps the rows it touches, and materialized-view refresh uses the
    stamps to skip rows unchanged since its last run. *)
 
-type loc = { l_block : Columns.t; l_row : int }
-
 type t = {
   mutable schema : Schema.t;
   mutable index : Schema_index.t;
   mutable next : int;
   mutable tick : int;
   pool : Columns.Pool.t;
-  mutable locs : (Oid.t, loc) Hashtbl.t;
+  mutable locs : (Oid.t, int) Hashtbl.t;  (* a packed [loc] *)
+  mutable numbered : Columns.t array;  (* blocks by [b_num] *)
+  mutable n_blocks : int;
   blocks : (Type_name.t, Columns.t list ref) Hashtbl.t;
   backrefs : (Oid.t, (Oid.t * Attr_name.t, unit) Hashtbl.t) Hashtbl.t;
   mutable journal : (op -> unit) option;
@@ -57,19 +57,25 @@ let fail fmt = Fmt.kstr (fun s -> raise (Store_error s)) fmt
 module Obs = Tdp_obs
 let m_extent_ns = Obs.Metrics.histogram "store.extent_ns"
 
-let create schema =
+let create ?index schema =
   { schema;
-    index = Schema_index.of_hierarchy (Schema.hierarchy schema);
+    index =
+      (match index with
+      | Some index -> index
+      | None -> Schema_index.of_hierarchy (Schema.hierarchy schema));
     next = 1;
     tick = 0;
     pool = Columns.Pool.create ();
     locs = Hashtbl.create 64;
+    numbered = [||];
+    n_blocks = 0;
     blocks = Hashtbl.create 16;
     backrefs = Hashtbl.create 64;
     journal = None
   }
 
 let schema t = t.schema
+let index t = t.index
 let set_journal t j = t.journal <- j
 let record t op = match t.journal with Some f -> f op | None -> ()
 
@@ -188,13 +194,22 @@ let schema_of_source load_schema source =
   | Some load -> load source
   | None -> fail "schema op requires a schema loader"
 
+(* An object's location (block, row), packed in one int: the OID table
+   then holds no pointers to blocks, so a copy of the database copies
+   it without rewriting a single entry. *)
+type loc = int
+
+let loc (b : Columns.t) row = (b.Columns.b_num lsl 32) lor row
+let block t (l : loc) = t.numbered.(l lsr 32)
+let row (l : loc) = l land 0xffff_ffff
+
 let find_loc t oid =
   match Hashtbl.find_opt t.locs oid with
   | Some l -> l
   | None -> no_object oid
 
-let referent t oid =
-  Option.map (fun l -> l.l_block.Columns.b_ty) (Hashtbl.find_opt t.locs oid)
+let type_of_opt t oid =
+  Option.map (fun l -> (block t l).Columns.b_ty) (Hashtbl.find_opt t.locs oid)
 
 (* ---- reverse-reference index ---------------------------------------- *)
 
@@ -248,14 +263,20 @@ let head_block t ty =
           b.Columns.b_gen <- gen;
           b
       | _ ->
-          let b = Columns.make ~pool:t.pool ~gen ty layout in
+          let b = Columns.make ~pool:t.pool ~gen ~num:t.n_blocks ty layout in
+          if t.n_blocks = Array.length t.numbered then begin
+            let a = Array.make (max 8 (2 * t.n_blocks)) b in
+            Array.blit t.numbered 0 a 0 t.n_blocks;
+            t.numbered <- a
+          end;
+          t.numbered.(t.n_blocks) <- b;
+          t.n_blocks <- t.n_blocks + 1;
           cell := b :: bs;
           b)
 
 (* ---- object creation ------------------------------------------------ *)
 
-let insert_row t ty oid vals =
-  let b = head_block t ty in
+let insert_into t b oid vals =
   let row = Columns.alloc b oid in
   t.tick <- t.tick + 1;
   Columns.set_stamp b row t.tick;
@@ -268,10 +289,12 @@ let insert_row t ty oid vals =
             ~attr:(Attribute.name b.Columns.b_layout.(col))
       | _ -> ())
     vals;
-  Hashtbl.replace t.locs oid { l_block = b; l_row = row }
+  Hashtbl.replace t.locs oid (loc b row)
+
+let insert_row t ty oid vals = insert_into t (head_block t ty) oid vals
 
 let new_object t ty ~init =
-  let vals = build_row t.index ~referent:(referent t) ty ~init in
+  let vals = build_row t.index ~referent:(type_of_opt t) ty ~init in
   let oid = Oid.of_int t.next in
   record t (Op_new { oid; ty; init });
   t.next <- t.next + 1;
@@ -280,8 +303,8 @@ let new_object t ty ~init =
 
 (* Re-create an object under a fixed OID (used when loading a dump). *)
 let restore_object t ~oid ~ty ~init =
-  check_fresh_oid ~referent:(referent t) oid;
-  let vals = build_row t.index ~referent:(referent t) ty ~init in
+  check_fresh_oid ~referent:(type_of_opt t) oid;
+  let vals = build_row t.index ~referent:(type_of_opt t) ty ~init in
   record t (Op_new { oid; ty; init });
   t.next <- max t.next (Oid.to_int oid + 1);
   insert_row t ty oid vals;
@@ -289,52 +312,53 @@ let restore_object t ~oid ~ty ~init =
 
 (* ---- access --------------------------------------------------------- *)
 
-let slots_of_loc (l : loc) =
+let slots_of_loc t l =
   List.fold_left
     (fun m (a, v) -> Attr_name.Map.add a v m)
     Attr_name.Map.empty
-    (Columns.row_bindings l.l_block l.l_row)
+    (Columns.row_bindings (block t l) (row l))
 
 let find t oid =
   let l = find_loc t oid in
-  { oid; ty = l.l_block.Columns.b_ty; slots = slots_of_loc l }
+  { oid; ty = (block t l).Columns.b_ty; slots = slots_of_loc t l }
 
-let type_of t oid = (find_loc t oid).l_block.Columns.b_ty
+let type_of t oid = (block t (find_loc t oid)).Columns.b_ty
 
-let read_slot oid (l : loc) attr =
-  match Columns.pos l.l_block attr with
-  | Some col -> Columns.read l.l_block ~row:l.l_row ~col
-  | None -> no_attr oid l.l_block.Columns.b_ty attr
+let read_slot t oid l attr =
+  let b = block t l in
+  match Columns.pos b attr with
+  | Some col -> Columns.read b ~row:(row l) ~col
+  | None -> no_attr oid b.Columns.b_ty attr
 
-let get_attr t oid attr = read_slot oid (find_loc t oid) attr
+let get_attr t oid attr = read_slot t oid (find_loc t oid) attr
 
 (* Batch read with one location resolution — the materialized-view
    refresh loop reads every view attribute of a row at once. *)
-let get_attrs t oid attrs = List.map (read_slot oid (find_loc t oid)) attrs
+let get_attrs t oid attrs = List.map (read_slot t oid (find_loc t oid)) attrs
 
 let row_stamp t oid =
   let l = find_loc t oid in
-  Columns.stamp l.l_block l.l_row
+  Columns.stamp (block t l) (row l)
 
 let set_attr t oid attr v =
   let l = find_loc t oid in
-  let b = l.l_block in
+  let b = block t l and row = row l in
   let col =
     match Columns.pos b attr with
     | Some col -> col
     | None -> no_attr oid b.Columns.b_ty attr
   in
-  check_set t.index ~referent:(referent t) b.Columns.b_ty attr v;
+  check_set t.index ~referent:(type_of_opt t) b.Columns.b_ty attr v;
   record t (Op_set { oid; attr; value = v });
-  (match Columns.read b ~row:l.l_row ~col with
+  (match Columns.read b ~row ~col with
   | Value.Ref old -> remove_backref t ~target:old ~src:oid ~attr
   | _ -> ());
   (match (v : Value.t) with
   | Value.Ref r -> add_backref t ~target:r ~src:oid ~attr
   | _ -> ());
-  Columns.write b ~row:l.l_row ~col v;
+  Columns.write b ~row ~col v;
   t.tick <- t.tick + 1;
-  Columns.set_stamp b l.l_row t.tick
+  Columns.set_stamp b row t.tick
 
 (* ---- extents -------------------------------------------------------- *)
 
@@ -384,6 +408,20 @@ let referrers t oid =
       |> List.sort (fun (a, x) (b, y) ->
              match Oid.compare a b with 0 -> Attr_name.compare x y | c -> c)
 
+(* Free an object's row and drop its outgoing references from the
+   index.  References {e to} it are the caller's business. *)
+let release_row t oid l =
+  let b = block t l and row = row l in
+  Array.iteri
+    (fun col a ->
+      match Columns.read b ~row ~col with
+      | Value.Ref r ->
+          remove_backref t ~target:r ~src:oid ~attr:(Attribute.name a)
+      | _ -> ())
+    b.Columns.b_layout;
+  Columns.release b row;
+  Hashtbl.remove t.locs oid
+
 let delete t ?(policy = Restrict) oid =
   let l = find_loc t oid in
   let refs = referrers t oid in
@@ -399,25 +437,16 @@ let delete t ?(policy = Restrict) oid =
       List.iter
         (fun (other, attr) ->
           let ol = find_loc t other in
-          (match Columns.pos ol.l_block attr with
+          let ob = block t ol in
+          (match Columns.pos ob attr with
           | Some col ->
-              Columns.write ol.l_block ~row:ol.l_row ~col Value.Null;
-              Columns.set_stamp ol.l_block ol.l_row t.tick
+              Columns.write ob ~row:(row ol) ~col Value.Null;
+              Columns.set_stamp ob (row ol) t.tick
           | None -> ());
           remove_backref t ~target:oid ~src:other ~attr)
         refs);
-  (* drop the deleted row's outgoing references from the index *)
-  let b = l.l_block in
-  Array.iteri
-    (fun col a ->
-      match Columns.read b ~row:l.l_row ~col with
-      | Value.Ref r ->
-          remove_backref t ~target:r ~src:oid ~attr:(Attribute.name a)
-      | _ -> ())
-    b.Columns.b_layout;
-  Hashtbl.remove t.backrefs oid;
-  Columns.release b l.l_row;
-  Hashtbl.remove t.locs oid
+  release_row t oid l;
+  Hashtbl.remove t.backrefs oid
 
 let count t = Hashtbl.length t.locs
 let next_oid t = t.next
@@ -435,18 +464,81 @@ let objects t =
   Hashtbl.fold (fun oid l acc -> (oid, l) :: acc) t.locs []
   |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
   |> List.map (fun (oid, l) ->
-         { oid; ty = l.l_block.Columns.b_ty; slots = slots_of_loc l })
+         { oid; ty = (block t l).Columns.b_ty; slots = slots_of_loc t l })
 
-let slots t oid = slots_of_loc (find_loc t oid)
+let slots t oid = slots_of_loc t (find_loc t oid)
 
 let fold_rows t ~init f =
   Hashtbl.fold (fun oid l acc -> (oid, l) :: acc) t.locs []
   |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
   |> List.fold_left
        (fun acc (oid, l) ->
-         f acc oid l.l_block.Columns.b_ty
-           (Columns.row_bindings l.l_block l.l_row))
+         let b = block t l in
+         f acc oid b.Columns.b_ty (Columns.row_bindings b (row l)))
        init
+
+(* ---- copies and unchecked row writes (MVCC snapshots) --------------- *)
+
+(* A copy that shares nothing mutable with [t]: every block's arrays,
+   the OID table (packed locations need no rewriting), the reverse
+   index and the string pool are duplicated.  [index] is the caller's
+   compiled schema, so no intern-table lookup happens here. *)
+let copy t ~schema ~index =
+  let pool = Columns.Pool.copy t.pool in
+  let numbered = Array.init t.n_blocks (fun i -> Columns.copy ~pool t.numbered.(i)) in
+  let blocks = Hashtbl.create (Hashtbl.length t.blocks) in
+  Hashtbl.iter
+    (fun ty cell ->
+      Hashtbl.add blocks ty
+        (ref (List.map (fun b -> numbered.(b.Columns.b_num)) !cell)))
+    t.blocks;
+  let backrefs = Hashtbl.create (max 64 (Hashtbl.length t.backrefs)) in
+  Hashtbl.iter (fun target tbl -> Hashtbl.add backrefs target (Hashtbl.copy tbl)) t.backrefs;
+  { schema; index; next = t.next; tick = t.tick; pool; locs = Hashtbl.copy t.locs;
+    numbered; n_blocks = t.n_blocks; blocks; backrefs; journal = None }
+
+(* Install a row state validated elsewhere.  An object that keeps its
+   type and slot set is overwritten in its own row (so an object created
+   under an older layout keeps that layout); otherwise the old row goes
+   and the object moves to the head block of [ty].  References to [oid]
+   stay indexed either way: the object keeps its identity. *)
+let put_row t oid ty slots =
+  let value_of a =
+    Option.value ~default:Value.Null (Attr_name.Map.find_opt (Attribute.name a) slots)
+  in
+  t.tick <- t.tick + 1;
+  t.next <- max t.next (Oid.to_int oid + 1);
+  let in_place l =
+    let b = block t l in
+    Type_name.equal b.Columns.b_ty ty
+    && Attr_name.Map.for_all (fun a _ -> Columns.pos b a <> None) slots
+  in
+  match Hashtbl.find_opt t.locs oid with
+  | Some l when in_place l ->
+      let b = block t l and row = row l in
+      Array.iteri
+        (fun col a ->
+          let v = value_of a and attr = Attribute.name a in
+          (match Columns.read b ~row ~col with
+          | Value.Ref old -> remove_backref t ~target:old ~src:oid ~attr
+          | _ -> ());
+          (match v with Value.Ref r -> add_backref t ~target:r ~src:oid ~attr | _ -> ());
+          Columns.write b ~row ~col v)
+        b.Columns.b_layout;
+      Columns.set_stamp b row t.tick
+  | found ->
+      Option.iter (release_row t oid) found;
+      let b = head_block t ty in
+      insert_into t b oid (Array.map value_of b.Columns.b_layout)
+
+let remove_row t oid =
+  match Hashtbl.find_opt t.locs oid with
+  | None -> ()
+  | Some l ->
+      t.tick <- t.tick + 1;
+      release_row t oid l
+
+let advance_next_oid t n = t.next <- max t.next n
 
 (* ---- columnar internals (scan path, stats) -------------------------- *)
 

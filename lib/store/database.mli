@@ -79,8 +79,16 @@ val schema_of_source : (string -> Schema.t) option -> string -> Schema.t
 
 (** {2 The columnar store} *)
 
-val create : Schema.t -> t
+(** An empty store over [schema].  [index] is the schema's compiled
+    index when the caller already holds one (otherwise it is interned
+    with {!Schema_index.of_hierarchy}). *)
+val create : ?index:Schema_index.t -> Schema.t -> t
+
 val schema : t -> Schema.t
+
+(** The compiled index of {!schema} that extents and the object rules
+    use. *)
+val index : t -> Schema_index.t
 
 (** Attach (or detach, with [None]) a journal callback.  While
     attached, every mutation — object creation (including
@@ -111,6 +119,9 @@ val restore_object :
 val find : t -> Oid.t -> obj
 
 val type_of : t -> Oid.t -> Type_name.t
+
+(** [None] on a dangling OID. *)
+val type_of_opt : t -> Oid.t -> Type_name.t option
 
 (** @raise Store_error if the attribute is not in the object's state. *)
 val get_attr : t -> Oid.t -> Attr_name.t -> Value.t
@@ -150,6 +161,33 @@ val fold_rows :
   init:'a ->
   ('a -> Oid.t -> Type_name.t -> (Attr_name.t * Value.t) list -> 'a) ->
   'a
+
+(** {2 Copies and unchecked row writes}
+
+    What {!Tdp_txn.Mvcc} builds a snapshot's immutable base with: a copy
+    of an older base, then the final states of the rows written since,
+    already validated against the object rules. *)
+
+(** A copy of [t] under [schema], whose compiled index [index] is used
+    as given.  Blocks (trimmed to their rows plus an eighth), the OID
+    table, the reverse index and the string pool are duplicated, so
+    writes to either never reach the other.  Blocks keep their layouts;
+    no journal is attached. *)
+val copy : t -> schema:Schema.t -> index:Schema_index.t -> t
+
+(** Install the state of object [oid], unchecked: it gets type [ty] and
+    the given slots ([Null] where absent), replacing any object already
+    under [oid].  An object that keeps its type and slot set keeps its
+    row.  The reverse index follows, and the allocator moves past
+    [oid]. *)
+val put_row : t -> Oid.t -> Type_name.t -> Value.t Attr_name.Map.t -> unit
+
+(** Remove object [oid] (a no-op when absent), unchecked: slots that
+    still reference it are left as they are. *)
+val remove_row : t -> Oid.t -> unit
+
+(** Move the allocator to at least [n] ({!next_oid} never decreases). *)
+val advance_next_oid : t -> int -> unit
 
 (** {2 Change tracking}
 

@@ -20,14 +20,33 @@ let equal a b =
   | Null, Null -> true
   | (Int _ | Float _ | String _ | Bool _ | Date _ | Ref _ | Null), _ -> false
 
-let pp ppf = function
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.float ppf f
-  | String s -> Fmt.pf ppf "%S" s
-  | Bool b -> Fmt.bool ppf b
-  | Date y -> Fmt.pf ppf "year(%d)" y
-  | Ref o -> Oid.pp ppf o
-  | Null -> Fmt.string ppf "null"
+(* [Printf.sprintf "%g"] without the format interpreter, which a
+   served extent would pay per value. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let add_to_buffer b = function
+  | Int i -> Buffer.add_string b (string_of_int i)
+  | Float f -> Buffer.add_string b (format_float "%.6g" f)
+  | String s ->
+      Buffer.add_char b '"';
+      Buffer.add_string b (String.escaped s);
+      Buffer.add_char b '"'
+  | Bool b' -> Buffer.add_string b (string_of_bool b')
+  | Date y ->
+      Buffer.add_string b "year(";
+      Buffer.add_string b (string_of_int y);
+      Buffer.add_char b ')'
+  | Ref o ->
+      Buffer.add_char b '#';
+      Buffer.add_string b (string_of_int (Oid.to_int o))
+  | Null -> Buffer.add_string b "null"
+
+let to_string v =
+  let b = Buffer.create 16 in
+  add_to_buffer b v;
+  Buffer.contents b
+
+let pp ppf v = Fmt.string ppf (to_string v)
 
 let of_literal (l : Body.literal) =
   match l with

@@ -12,6 +12,14 @@ type t =
   | Null
 
 val equal : t -> t -> bool
+
+(** The printed form {!pp} writes: [12], [1.5] (["%g"]), ["text"]
+    (OCaml escapes), [true], [year(1975)], [#3], [null]. *)
+val to_string : t -> string
+
+(** {!to_string} appended to a buffer. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp : t Fmt.t
 
 (** Literal of a method body as a runtime value. *)

@@ -11,13 +11,27 @@ module String_map = Map.Make (String)
 
 (* Snapshot-isolation MVCC over immutable database versions.
 
-   A [snapshot] is a persistent value: an [Oid.Map] of immutable
-   object records plus the schema and its compiled index.  Committing
-   never mutates a snapshot — it builds a new one sharing almost all
-   structure with its parent (O(ops · log n)), then publishes it as the
-   branch head with one atomic store.  Readers need no lock, neither to
-   fetch a head nor to read it: they see exactly the version they
-   started from, which is the whole of snapshot isolation.
+   A [snapshot] is a persistent value in two parts.  Its [base] is a
+   columnar {!Database} that nothing writes once a snapshot holds it;
+   its [delta] is a persistent [Oid.Map] of the rows written since that
+   base, with [Dead] tombstones over deleted base rows.  Point reads look
+   in the delta, then in the base's OID table; a selection runs
+   [Pred.scan] over the base's blocks, drops the OIDs the delta shadows
+   and merges in the delta rows that pass the subtype test and
+   [Pred.holds].  Committing never mutates a snapshot: it adds one delta
+   entry per op to a successor (O(ops · log delta)), then publishes it
+   as the branch head with one atomic store.  Readers need no lock,
+   neither to fetch a head nor to read it: they see exactly the version
+   they started from, which is the whole of snapshot isolation.
+
+   Compaction keeps the delta small.  Once it holds a fixed fraction of
+   the base's rows, the committer copies the base (never reusing its
+   arrays: pinned snapshots still read them), folds the delta in, and
+   publishes the copy with an empty delta.  A schema swap compacts at
+   once onto the new schema, so a base's index is always its
+   snapshot's.  [to_database] is the same copy, handed to the caller.
+   Recovery owns its base until it publishes, so it folds the replayed
+   delta into it in place.
 
    Writes go through transactions.  A transaction pins its branch head
    as [base], stages validated ops against a private overlay snapshot,
@@ -35,27 +49,39 @@ module String_map = Map.Make (String)
    without its commit, which replay discards — no torn state.
 
    Every op is validated by {!Database}'s object rules, over the
-   snapshot's index and object map: one definition and one message
-   text for both stores.
+   snapshot's index and its delta-then-base lookups: one definition and
+   one message text for both stores.
 
    Domain-safety inventory (OCaml 5: reader domains run lock-free over
    snapshots, and [stage] runs on session domains without the store
-   lock): [Oid.Map]/[Attr_name.Map] are immutable; the schema index is
-   built with [Schema_index.compile] (no shared intern table).  Reads
-   use only [Schema_index.subtype], a pure bit test; validation also
-   reads the memoized [layout]/[layout_positions], so two domains may
-   fill one memo cell at once.  Each cell is a write-once [option] slot
-   holding a value nobody mutates once built: a racing reader sees
-   [None] (and builds an equal value) or a fully built [Some], as OCaml
-   5 publishes a block's initializing writes with it.  Publication is
-   atomic: the branch table is one immutable [String_map] behind an
-   [Atomic.t] (replaced whole, under the lock, by a fork), each branch
-   head is an [Atomic.t] (set by commit and replay under the lock), and
-   [closed] is atomic, so [head] and [branches] are plain loads that
-   take no lock.  Everything else a writer touches — versions, the txid
+   lock): a delta ([Oid.Map]/[Attr_name.Map]) is immutable.  A base is
+   written only before any snapshot holds it — by the compaction that
+   builds it, or by recovery before it publishes — so readers' hash
+   lookups, block reads and [Pred.compile_cmp]'s [Pool.find] on its
+   string pool race with no writer.  Compaction reads the old base
+   only.  Indexes come from [Schema_index.compile] or the base
+   database's own; Mvcc never touches the shared [of_hierarchy] intern
+   table.  Reads use only [Schema_index.subtype], a pure bit test, and
+   [descendants_or_self]; validation also reads the memoized
+   [layout]/[layout_positions], so two domains may fill one memo cell
+   at once.  Each cell is a write-once [option] slot holding a value
+   nobody mutates once built: a racing reader sees [None] (and builds
+   an equal value) or a fully built [Some], as OCaml 5 publishes a
+   block's initializing writes with it.  Publication is atomic: the
+   branch table is one immutable [String_map] behind an [Atomic.t]
+   (replaced whole, under the lock, by a fork), each branch head is an
+   [Atomic.t] (set by commit and replay under the lock), and [closed]
+   is atomic, so [head] and [branches] are plain loads that take no
+   lock.  Everything else a writer touches — versions, the txid
    allocator, write-set history, the log writer — stays under the store
-   lock.  [Obs.Metrics] is not thread-safe, so every metric below is
-   recorded while holding the store lock. *)
+   lock.  [Obs.Metrics] is not thread-safe: every metric this module
+   records is recorded under the store lock.  The timers on the read
+   path ([Pred.scan], [Database.extent]) run on reader domains with no
+   lock; they record only while the registry is enabled, which [odb
+   serve] leaves off by default.  Under [odb --metrics serve] readers
+   race on those two histograms, so their counts and sums are
+   approximate (a lost update, never a torn value: OCaml 5 races are
+   memory-safe). *)
 
 let fail fmt = Fmt.kstr (fun s -> raise (Database.Store_error s)) fmt
 let main_branch = "main"
@@ -65,64 +91,104 @@ let m_commit = Obs.Metrics.counter "txn.commit"
 let m_abort = Obs.Metrics.counter "txn.abort"
 let m_conflict = Obs.Metrics.counter "txn.conflict"
 let m_commit_ns = Obs.Metrics.histogram "txn.commit_ns"
+let m_compact_ns = Obs.Metrics.histogram "mvcc.compact_ns"
 
 (* ---- snapshots ----------------------------------------------------- *)
 
+(* A delta entry: the state of an object written since the base, or a
+   tombstone over a base object deleted since. *)
 type stored = { st_ty : Type_name.t; st_slots : Value.t Attr_name.Map.t }
+type entry = Live of stored | Dead
 
 type snapshot = {
-  objs : stored Oid.Map.t;
-  schema : Schema.t;
-  index : Schema_index.t;
+  base : Database.t;  (* never mutated once a snapshot holds it *)
+  delta : entry Oid.Map.t;
+  delta_size : int;  (* Oid.Map.cardinal delta *)
+  count : int;  (* live objects *)
   next_oid : int;
   version : int;
 }
 
-let empty_snapshot schema =
-  { objs = Oid.Map.empty;
-    schema;
-    index = Schema_index.compile (Schema.hierarchy schema);
-    next_oid = 1;
-    version = 0
+(* A snapshot whose base is [db] and whose delta is empty.  [db] now
+   belongs to the snapshot: nothing may mutate it. *)
+let wrap db ~version =
+  { base = db;
+    delta = Oid.Map.empty;
+    delta_size = 0;
+    count = Database.count db;
+    next_oid = Database.next_oid db;
+    version
   }
 
 let version s = s.version
-let schema s = s.schema
+let schema s = Database.schema s.base
+let index s = Database.index s.base
 let next_oid s = s.next_oid
-let count s = Oid.Map.cardinal s.objs
+let count s = s.count
+let delta_size s = s.delta_size
+
+(* The delta's row for [oid]; [None] when the base decides.
+   @raise Database.Store_error over a tombstone. *)
+let delta_row s oid =
+  match Oid.Map.find_opt oid s.delta with
+  | Some (Live st) -> Some st
+  | Some Dead -> Database.no_object oid
+  | None -> None
 
 let find s oid =
-  match Oid.Map.find_opt oid s.objs with
+  match delta_row s oid with
   | Some st -> st
-  | None -> Database.no_object oid
+  | None -> { st_ty = Database.type_of s.base oid; st_slots = Database.slots s.base oid }
 
-let type_of s oid = (find s oid).st_ty
+let type_of s oid =
+  match delta_row s oid with Some st -> st.st_ty | None -> Database.type_of s.base oid
+
 let slots s oid = (find s oid).st_slots
 
+let slot oid st attr =
+  match Attr_name.Map.find attr st.st_slots with
+  | v -> v
+  | exception Not_found -> Database.no_attr oid st.st_ty attr
+
 let get_attr s oid attr =
-  let st = find s oid in
-  match Attr_name.Map.find_opt attr st.st_slots with
-  | Some v -> v
-  | None -> Database.no_attr oid st.st_ty attr
+  match delta_row s oid with
+  | Some st -> slot oid st attr
+  | None -> Database.get_attr s.base oid attr
 
-(* The deep extent of [ty] filtered by [keep], in OID order
-   ([Oid.Map.fold] visits keys in order): one fold over the snapshot
-   that conses only the OIDs it returns. *)
-let filter_extent s ty keep =
-  Oid.Map.fold
-    (fun oid st acc ->
-      if Schema_index.subtype s.index st.st_ty ty && keep oid st then oid :: acc
-      else acc)
-    s.objs []
-  |> List.rev
+(* [base_hits] (ascending OIDs from the base) with the delta laid over
+   them, in one ascending walk that allocates only its output: a base
+   OID the delta holds is dropped, and a live delta row is kept when
+   [keep] holds of it. *)
+let over_delta s base_hits keep =
+  let hits = ref base_hits and out = ref [] in
+  let rec emit_below oid =
+    match !hits with
+    | h :: hs when Oid.compare h oid <= 0 ->
+        hits := hs;
+        if not (Oid.equal h oid) then begin
+          out := h :: !out;
+          emit_below oid
+        end
+    | _ -> ()
+  in
+  Oid.Map.iter
+    (fun oid e ->
+      emit_below oid;
+      match e with Live st when keep oid st -> out := oid :: !out | _ -> ())
+    s.delta;
+  List.rev_append !out !hits
 
-let extent s ty = filter_extent s ty (fun _ _ -> true)
+let in_extent s ty st = Schema_index.subtype (index s) st.st_ty ty
+
+let extent s ty =
+  over_delta s (Database.extent s.base ty) (fun _ st -> in_extent s ty st)
 
 (* Identity instances of a view over the snapshot, as [View.instances]
    over [to_database s] computes them.  Selection predicates push down
    to the [Base] leaves — filtering distributes over a generalization's
-   union — and run inside that leaf's one fold on the stored slots,
-   inner predicates first like the nested filters they replace. *)
+   union — where the base's columnar blocks run them as one [Pred.scan]
+   and the delta's rows through [Pred.holds], inner predicates first
+   like the nested filters they replace. *)
 let instances s expr =
   let rec go preds (e : View.expr) =
     match e with
@@ -130,12 +196,16 @@ let instances s expr =
         match preds with
         | [] -> extent s n
         | p :: rest ->
-            let test = Pred.holds (List.fold_left (fun a b -> Pred.And (a, b)) p rest) in
-            filter_extent s n (fun oid st ->
-                test (fun attr ->
-                    match Attr_name.Map.find attr st.st_slots with
-                    | v -> v
-                    | exception Not_found -> get_attr s oid attr)))
+            let p = List.fold_left (fun a b -> Pred.And (a, b)) p rest in
+            let test = Pred.holds p in
+            (* one reader closure over the row under test, not one per row *)
+            let row_oid = ref (Oid.of_int 0)
+            and row = ref { st_ty = n; st_slots = Attr_name.Map.empty } in
+            let get attr = slot !row_oid !row attr in
+            over_delta s (Pred.scan s.base n p) (fun oid st ->
+                row_oid := oid;
+                row := st;
+                in_extent s n st && test get))
     | Project (e, _) -> go preds e
     | Select (e, p) -> go (p :: preds) e
     | Generalize (a, b) -> List.sort_uniq Oid.compare (go preds a @ go preds b)
@@ -146,74 +216,134 @@ let instances s expr =
   in
   go [] expr
 
+(* ---- compaction ---------------------------------------------------- *)
+
+(* Write the delta's row states into [db]. *)
+let fold_delta db s =
+  Oid.Map.iter
+    (fun oid -> function
+      | Live st -> Database.put_row db oid st.st_ty st.st_slots
+      | Dead -> Database.remove_row db oid)
+    s.delta;
+  Database.advance_next_oid db s.next_oid
+
+(* A fresh database holding the snapshot's state: a copy of the base
+   (its arrays are never reused — pinned snapshots still read them) with
+   the delta folded in.  [schema]/[index] default to the snapshot's. *)
+let compacted_db ?schema:sch ?index:ix s =
+  let schema = Option.value sch ~default:(schema s)
+  and index = Option.value ix ~default:(index s) in
+  let db = Database.copy s.base ~schema ~index in
+  fold_delta db s;
+  db
+
+(* The same snapshot over a new base and an empty delta. *)
+let compact ?schema ?index s = wrap (compacted_db ?schema ?index s) ~version:s.version
+
+(* A commit compacts once the delta holds [1 / compact_fraction] of the
+   base's rows (and at least [compact_min]).  At 100k rows a compaction
+   costs ~55 ms (a ~26 ms copy, then ~2.3 µs per folded entry), so over
+   12.5k delta entries it amortizes to ~4.5 µs each; a selection's delta
+   pass costs ~0.3 µs per entry, so a full delta adds ~2–4 ms to a
+   scan.  Halving the fraction would double the copies a busy writer
+   pays, and their garbage (measured: a served writer beside a scanning
+   reader got slower, and the server's RSS grew), to halve that. *)
+let compact_fraction = 8
+let compact_min = 64
+
+let compaction_due s =
+  s.delta_size >= max compact_min (Database.count s.base / compact_fraction)
+
+(* Materialize as a mutable {!Database} the caller owns (the bridge to
+   {!Dump}, checkpoints and replica saves): a compaction. *)
+let to_database s = compacted_db s
+let dump s = Dump.to_string (to_database s)
+
 (* ---- op application ------------------------------------------------ *)
 
-(* The object rules are {!Database}'s; finding referrers (a fold, where
-   the columnar store keeps a reverse index) is this module's own. *)
+(* The object rules are {!Database}'s.  Referrers come from the base's
+   reverse index, minus the objects the delta rewrote, plus the delta
+   rows that hold a reference. *)
 
-let referent s oid = Option.map (fun st -> st.st_ty) (Oid.Map.find_opt oid s.objs)
+let referent s oid =
+  match Oid.Map.find_opt oid s.delta with
+  | Some (Live st) -> Some st.st_ty
+  | Some Dead -> None
+  | None -> Database.type_of_opt s.base oid
 
 let referrers s oid =
+  let from_base =
+    List.filter
+      (fun (other, _) -> not (Oid.Map.mem other s.delta))
+      (Database.referrers s.base oid)
+  in
   Oid.Map.fold
-    (fun other st acc ->
-      if Oid.equal other oid then acc
-      else
-        Attr_name.Map.fold
-          (fun attr v acc ->
-            match v with
-            | Value.Ref r when Oid.equal r oid -> (other, attr) :: acc
-            | _ -> acc)
-          st.st_slots acc)
-    s.objs []
+    (fun other e acc ->
+      match e with
+      | Live st when not (Oid.equal other oid) ->
+          Attr_name.Map.fold
+            (fun attr v acc ->
+              match v with
+              | Value.Ref r when Oid.equal r oid -> (other, attr) :: acc
+              | _ -> acc)
+            st.st_slots acc
+      | _ -> acc)
+    s.delta from_base
   |> List.sort (fun (a, x) (b, y) ->
          match Oid.compare a b with 0 -> Attr_name.compare x y | c -> c)
 
+let put s oid e =
+  { s with
+    delta = Oid.Map.add oid e s.delta;
+    delta_size = (if Oid.Map.mem oid s.delta then s.delta_size else s.delta_size + 1)
+  }
+
 (* Apply one validated op, returning the successor snapshot (same
-   [version]; commit stamps the new version on publication).
+   [version]; commit stamps the new version on publication).  Every op
+   adds one delta entry, except a schema swap, which compacts onto the
+   new schema at once: the base's blocks and extents must answer to the
+   snapshot's own index.
    @raise Database.Store_error when the op does not validate. *)
 let apply ?load_schema s (op : Database.op) =
   match op with
   | Database.Op_new { oid; ty; init } ->
       Database.check_fresh_oid ~referent:(referent s) oid;
-      let row = Database.build_row s.index ~referent:(referent s) ty ~init in
+      let index = index s in
+      let row = Database.build_row index ~referent:(referent s) ty ~init in
       let st_slots = ref Attr_name.Map.empty in
       Array.iteri
         (fun i a -> st_slots := Attr_name.Map.add (Attribute.name a) row.(i) !st_slots)
-        (Schema_index.layout s.index ty);
-      { s with
-        objs = Oid.Map.add oid { st_ty = ty; st_slots = !st_slots } s.objs;
-        next_oid = max s.next_oid (Oid.to_int oid + 1)
-      }
+        (Schema_index.layout index ty);
+      let s = put s oid (Live { st_ty = ty; st_slots = !st_slots }) in
+      { s with count = s.count + 1; next_oid = max s.next_oid (Oid.to_int oid + 1) }
   | Database.Op_set { oid; attr; value } ->
       let st = find s oid in
       if not (Attr_name.Map.mem attr st.st_slots) then Database.no_attr oid st.st_ty attr;
-      Database.check_set s.index ~referent:(referent s) st.st_ty attr value;
-      { s with
-        objs =
-          Oid.Map.add oid
-            { st with st_slots = Attr_name.Map.add attr value st.st_slots }
-            s.objs
-      }
+      Database.check_set (index s) ~referent:(referent s) st.st_ty attr value;
+      put s oid (Live { st with st_slots = Attr_name.Map.add attr value st.st_slots })
   | Database.Op_delete { oid; policy } ->
-      let _ = find s oid in
+      ignore (type_of s oid);
       let refs = referrers s oid in
       Database.check_delete policy oid refs;
-      let objs =
+      let s =
         match policy with
-        | Database.Restrict -> s.objs
+        | Database.Restrict -> s
         | Database.Nullify ->
             List.fold_left
-              (fun objs (other, attr) ->
-                let st = Oid.Map.find other objs in
-                Oid.Map.add other
-                  { st with st_slots = Attr_name.Map.add attr Value.Null st.st_slots }
-                  objs)
-              s.objs refs
+              (fun s (other, attr) ->
+                let st = find s other in
+                put s other
+                  (Live { st with st_slots = Attr_name.Map.add attr Value.Null st.st_slots }))
+              s refs
       in
-      { s with objs = Oid.Map.remove oid objs }
+      let s =
+        if Database.type_of_opt s.base oid <> None then put s oid Dead
+        else { s with delta = Oid.Map.remove oid s.delta; delta_size = s.delta_size - 1 }
+      in
+      { s with count = s.count - 1 }
   | Database.Op_set_schema { source } ->
       let schema = Database.schema_of_source load_schema source in
-      { s with schema; index = Schema_index.compile (Schema.hierarchy schema) }
+      compact ~schema ~index:(Schema_index.compile (Schema.hierarchy schema)) s
 
 (* ---- write sets ---------------------------------------------------- *)
 
@@ -257,6 +387,10 @@ type t = {
   load_schema : (string -> Schema.t) option;
   mutable dir : string option;
   closed : bool Atomic.t;
+  mutable recovering : bool;
+      (* while recovery replays into a store no one else sees yet:
+         publication leaves deltas to grow, and one in-place fold at the
+         end settles them *)
 }
 
 let locked t f = Mutex.protect t.lock f
@@ -284,55 +418,18 @@ let make ?load_schema (base : snapshot) =
     writer = None;
     load_schema;
     dir = None;
-    closed = Atomic.make false
+    closed = Atomic.make false;
+    recovering = false
   }
 
-let create ?load_schema schema = make ?load_schema (empty_snapshot schema)
-
-let snapshot_of_database db ~version =
-  let objs =
-    List.fold_left
-      (fun objs (o : Database.obj) ->
-        Oid.Map.add o.oid { st_ty = o.ty; st_slots = o.slots } objs)
-      Oid.Map.empty (Database.objects db)
-  in
-  let sch = Database.schema db in
-  { objs;
-    schema = sch;
-    index = Schema_index.compile (Schema.hierarchy sch);
-    next_oid = Database.next_oid db;
-    version
-  }
+let create ?load_schema schema =
+  let index = Schema_index.compile (Schema.hierarchy schema) in
+  make ?load_schema (wrap (Database.create ~index schema) ~version:0)
 
 (* A memory-only store seeded from a recovered database — how a
-   replica bootstraps from the primary's snapshot. *)
-let of_database ?load_schema db =
-  make ?load_schema (snapshot_of_database db ~version:0)
-
-(* Materialize a snapshot as a mutable {!Database} — the bridge to
-   {!Dump} for checkpoints and textual dumps.  Two passes so forward
-   references restore. *)
-let to_database s =
-  let db = Database.create s.schema in
-  let refs = ref [] in
-  Oid.Map.iter
-    (fun oid st ->
-      let init =
-        Attr_name.Map.fold
-          (fun a v acc ->
-            match v with
-            | Value.Ref _ ->
-                refs := (oid, a, v) :: !refs;
-                acc
-            | v -> (a, v) :: acc)
-          st.st_slots []
-      in
-      ignore (Database.restore_object db ~oid ~ty:st.st_ty ~init))
-    s.objs;
-  List.iter (fun (oid, a, v) -> Database.set_attr db oid a v) (List.rev !refs);
-  db
-
-let dump s = Dump.to_string (to_database s)
+   replica bootstraps from the primary's snapshot.  The store takes
+   [db] over as its first base. *)
+let of_database ?load_schema db = make ?load_schema (wrap db ~version:0)
 
 (* ---- store reads --------------------------------------------------- *)
 
@@ -472,10 +569,16 @@ let trim_recent br =
   end
 
 (* Stamp [snap] with the next version and make it [br]'s head,
-   recording its write set.  The caller holds the store lock. *)
+   recording its write set, compacting first when its delta has grown
+   enough.  The caller holds the store lock. *)
 let install t br writes snap =
   let v = t.version + 1 in
   t.version <- v;
+  let snap =
+    if (not t.recovering) && compaction_due snap then
+      Obs.Metrics.time m_compact_ns (fun () -> compact snap)
+    else snap
+  in
   Atomic.set br.head { snap with version = v };
   br.recent <- (v, writes) :: br.recent;
   br.n_recent <- br.n_recent + 1;
@@ -684,8 +787,26 @@ let offset_of_seq entries seq =
 (* Replay [txn] over the base state: records the snapshot already
    absorbed ([txn-seq] header, [base_seq]) are skipped, and a replay
    stop ends the replayable prefix exactly like a checksum failure. *)
+(* Leave recovery: every branch head over a base of its own with an
+   empty delta.  Forks replay over the base they forked from, so forked
+   heads are compacted first, into copies that share no table with it;
+   then the main head's delta is folded straight into its base, which
+   recovery owns — nothing has published a snapshot of it to a reader
+   yet, and no other head still holds it. *)
+let settle_recovery t =
+  t.recovering <- false;
+  String_map.iter
+    (fun name br ->
+      if name <> main_branch then Atomic.set br.head (compact (Atomic.get br.head)))
+    (Atomic.get t.branches);
+  let br = String_map.find main_branch (Atomic.get t.branches) in
+  let head = Atomic.get br.head in
+  fold_delta head.base head;
+  Atomic.set br.head (wrap head.base ~version:head.version)
+
 let replay_log ?load_schema ~base_seq (base : Database.t) txn =
-  let t = make ?load_schema (snapshot_of_database base ~version:0) in
+  let t = make ?load_schema (wrap base ~version:0) in
+  t.recovering <- true;
   let d = Txn_log.decode txn in
   let r = replay_start t in
   let rec go = function
@@ -694,8 +815,10 @@ let replay_log ?load_schema ~base_seq (base : Database.t) txn =
         if e.Wal.fseq <= base_seq then go rest
         else match replay_record r e with Ok () -> go rest | Error _ as stop -> stop)
   in
+  let stopped = go d.Wal.fentries in
+  settle_recovery t;
   let corruption, valid, next_seq =
-    match go d.Wal.fentries with
+    match stopped with
     | Ok () -> (d.Wal.fcorruption, d.Wal.fvalid_bytes, d.Wal.fnext_seq)
     | Error { stop_seq; stop_reason } ->
         let offset = offset_of_seq d.Wal.fentries stop_seq in

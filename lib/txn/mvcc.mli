@@ -1,10 +1,16 @@
 (** Snapshot-isolation MVCC over immutable database versions.
 
-    A {!snapshot} is a persistent value — an immutable object map plus
-    the schema and its compiled index.  Committing never mutates a
-    snapshot: it builds a successor sharing almost all structure with
-    its parent and publishes it as the branch head with one atomic
-    store.  Readers need no lock to fetch a head ({!head}) or to read
+    A {!snapshot} is a persistent value in two parts: a {e base}, a
+    columnar {!Database} that nothing mutates once a snapshot holds it,
+    and a {e delta}, a small persistent map of the objects written since
+    that base (tombstones for deletions).  Reads look in the delta
+    first, then in the base; selections scan the base's blocks and lay
+    the delta over the result.  Committing never mutates a snapshot: it
+    adds the transaction's rows to a successor's delta and publishes it
+    as the branch head with one atomic store.  Once a delta holds a
+    fixed fraction of its base's rows, the committer compacts: it copies
+    the base, folds the delta in, and publishes the copy with an empty
+    delta.  Readers need no lock to fetch a head ({!head}) or to read
     it, and see exactly the version they started from — snapshot
     isolation by construction.
 
@@ -21,8 +27,13 @@
     recovery always yields the last fully committed version, never
     torn state.
 
+    Recovery replays the log into the snapshot's base and folds the
+    replayed delta into it in place, so a freshly opened store starts
+    with an empty delta.
+
     Domain-safety: reader domains may call every snapshot accessor
-    below, {!head} and {!branches} concurrently and lock-free; the other
+    below, {!head} and {!branches} concurrently and lock-free — a
+    published base, string pool included, is never written; the other
     store operations ({!begin_}, {!commit}, {!fork}, {!checkpoint}, …)
     serialize on the internal store lock (the one-writer discipline). *)
 
@@ -47,7 +58,12 @@ val schema : snapshot -> Schema.t
 (** The next OID {!new_object} would allocate over this snapshot. *)
 val next_oid : snapshot -> int
 
+(** Live objects — O(1), kept as ops apply. *)
 val count : snapshot -> int
+
+(** Objects written (or deleted) since the snapshot's base: 0 right
+    after a compaction. *)
+val delta_size : snapshot -> int
 
 (** @raise Database.Store_error on an unknown OID / attribute. *)
 val type_of : snapshot -> Oid.t -> Type_name.t
@@ -55,21 +71,29 @@ val type_of : snapshot -> Oid.t -> Type_name.t
 val slots : snapshot -> Oid.t -> Value.t Attr_name.Map.t
 val get_attr : snapshot -> Oid.t -> Attr_name.t -> Value.t
 
-(** Deep extent (all objects of the type or a subtype), in OID order. *)
+(** Deep extent (all objects of the type or a subtype), in OID order:
+    the base's extent with the delta laid over it. *)
 val extent : snapshot -> Type_name.t -> Oid.t list
+
+(** Objects referencing [oid], with the referring attribute, in (OID,
+    attribute) order — {!Database.referrers} of the snapshot's state,
+    read from the base's reverse index and the delta. *)
+val referrers : snapshot -> Oid.t -> (Oid.t * Attr_name.t) list
 
 (** Identity instances of a view expression over the snapshot, equal
     (same OIDs, same order) to {!Tdp_algebra.View.instances} over
-    [to_database s].  Selections filter inside one fold per [Base]
-    leaf, on the stored slots, consing only the OIDs returned;
-    projections pass through; a generalization is the sorted union of
-    its operands.
+    [to_database s].  A selection over a [Base] leaf runs as one
+    {!Tdp_algebra.Pred.scan} over the base's blocks plus a per-row test
+    of the delta's rows; projections pass through; a generalization is
+    the sorted union of its operands.
     @raise Error.E on a [Join] view (no identity instances), and
     [Database.Store_error] when a predicate names an attribute an
     instance lacks. *)
 val instances : snapshot -> Tdp_algebra.View.expr -> Oid.t list
 
-(** Materialize as a mutable {!Database} (the bridge to {!Dump}). *)
+(** Materialize as a fresh {!Database} the caller owns and may mutate
+    (the bridge to {!Dump}): a compaction — a copy of the base with the
+    delta folded in. *)
 val to_database : snapshot -> Database.t
 
 (** The snapshot in {!Tdp_store.Dump} format. *)
@@ -86,7 +110,8 @@ val create : ?load_schema:(string -> Schema.t) -> Schema.t -> t
 
 (** An in-memory store whose [main] branch starts at the contents of
     [db] (version 0) — how a replica bootstraps from the primary's
-    recovered snapshot. *)
+    recovered snapshot.  O(1): [db] becomes the first base, so the
+    caller must not mutate it afterwards. *)
 val of_database : ?load_schema:(string -> Schema.t) -> Database.t -> t
 
 (** Head snapshot of [branch]: an atomic load, no lock — a reader never

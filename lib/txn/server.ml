@@ -354,10 +354,16 @@ let respond s (req : request) =
         with_pinned s (fun () -> Tdp_lang.Session.eval_string (lang_session s) source)
       in
       let text =
-        String.concat "\n" (List.map Tdp_lang.Session.render outcomes)
+        match outcomes with
+        | [ o ] -> Tdp_lang.Session.render o
+        | os -> String.concat "\n" (List.map Tdp_lang.Session.render os)
       in
-      if List.exists Tdp_lang.Session.failed outcomes then Fmt.str "err %S" text
-      else Fmt.str "ok %S" text
+      (* [Fmt.str "ok %S"] would copy a served extent several times *)
+      String.concat ""
+        [ (if List.exists Tdp_lang.Session.failed outcomes then "err \"" else "ok \"");
+          String.escaped text;
+          "\""
+        ]
 
 (* Total: every failure of a single request becomes an [err] line. *)
 let handle_line s line =

@@ -527,6 +527,30 @@ let test_null_bitmap () =
     (Pred.scan db (ty "Person") (Pred.cmp (at "name") Pred.Eq Body.Null)
     |> List.map Oid.to_int)
 
+(* A pool copy is independent: each side interns its own new strings
+   under the same next id, and neither ever sees the other's. *)
+let test_pool_copy () =
+  let module Pool = Tdp_store.Columns.Pool in
+  let p0 = Pool.create () in
+  for k = 0 to 9 do
+    ignore (Pool.id p0 (Fmt.str "s%d" k))
+  done;
+  let p1 = Pool.copy p0 in
+  for k = 10 to 99 do
+    Alcotest.(check int) "fresh id in the copy" k (Pool.id p1 (Fmt.str "s%d" k))
+  done;
+  Alcotest.(check int) "the source's next id" 10 (Pool.id p0 "other");
+  Alcotest.(check (option int)) "the source lacks the copy's strings" None (Pool.find p0 "s10");
+  Alcotest.(check (option int)) "the copy lacks the source's" None (Pool.find p1 "other");
+  Alcotest.(check string) "id 10 in the source" "other" (Pool.get p0 10);
+  Alcotest.(check string) "id 10 in the copy" "s10" (Pool.get p1 10);
+  List.iter
+    (fun k ->
+      let s = Fmt.str "s%d" k in
+      Alcotest.(check (option int)) "shared prefix" (Some k) (Pool.find p0 s);
+      Alcotest.(check (option int)) "shared prefix" (Some k) (Pool.find p1 s))
+    [ 0; 9 ]
+
 let test_block_growth () =
   let db = Database.create base_schema in
   let n = 100 in
@@ -663,6 +687,7 @@ let () =
       ( "blocks",
         [ Alcotest.test_case "free-list reuse" `Quick test_free_list_reuse;
           Alcotest.test_case "null bitmap" `Quick test_null_bitmap;
+          Alcotest.test_case "string pool copy" `Quick test_pool_copy;
           Alcotest.test_case "block growth" `Quick test_block_growth;
           Alcotest.test_case "layout routing across evolution" `Quick
             test_layout_routing_across_evolution;

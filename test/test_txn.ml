@@ -288,6 +288,67 @@ let test_head_of_forked_branches () =
           ignore (Mvcc.head s ~branch:"nope"));
       Mvcc.close s)
 
+(* Recovery settles forked branches that share one replayed base.  New
+   strings on both sides of a fork, and a schema swap on the fork, must
+   come back as each branch wrote them: a string interned on one branch
+   never takes an id another branch already gave its own string. *)
+let test_forked_strings_survive_reopen () =
+  with_temp_dir (fun dir ->
+      let open_store () = (Mvcc.open_dir ~load_schema ~sync:false ~schema dir).Mvcc.store in
+      let name s branch o =
+        Dump.value_to_string (Mvcc.get_attr (Mvcc.head s ~branch) o (at "name"))
+      in
+      let named s branch str =
+        Mvcc.instances (Mvcc.head s ~branch)
+          (Tdp_algebra.View.Select
+             ( Tdp_algebra.View.Base (ty "Employee"),
+               Tdp_algebra.Pred.Cmp
+                 { attr = at "name"; op = Tdp_algebra.Pred.Eq; value = Tdp_core.Body.String str }
+             ))
+        |> List.map Tdp_store.Oid.to_int
+      in
+      let set s branch o str =
+        let t = Mvcc.begin_ ~branch s in
+        Mvcc.set_attr t o (at "name") (Value.String str);
+        ignore (commit_exn t)
+      in
+      let s = open_store () in
+      let t = Mvcc.begin_ s in
+      let o1 = Mvcc.new_object t (ty "Employee") ~init:[ (at "name", Value.String "x") ] in
+      let o2 = Mvcc.new_object t (ty "Employee") ~init:[ (at "name", Value.String "x") ] in
+      ignore (commit_exn t);
+      ignore (Mvcc.fork s ~from_:Mvcc.main_branch ~branch:"dev");
+      ignore (Mvcc.fork s ~from_:Mvcc.main_branch ~branch:"swap");
+      set s "dev" o1 "d";
+      set s Mvcc.main_branch o1 "m";
+      let t = Mvcc.begin_ ~branch:"swap" s in
+      Mvcc.set_schema t ~source:(Tdp_lang.Printer.print Tdp_paper.Fig1.schema);
+      Mvcc.set_attr t o1 (at "name") (Value.String "w");
+      ignore (commit_exn t);
+      let dumps s = List.map (fun (b, _) -> Mvcc.dump (Mvcc.head s ~branch:b)) (Mvcc.branches s) in
+      let want = dumps s in
+      Mvcc.close s;
+      let s = open_store () in
+      Alcotest.(check (list string)) "every branch recovers its own state" want (dumps s);
+      List.iter
+        (fun (branch, str, other) ->
+          Alcotest.(check string) (branch ^ " reads its string") (Fmt.str "%S" str)
+            (name s branch o1);
+          Alcotest.(check (list int)) (branch ^ " selects its string") [ 1 ] (named s branch str);
+          Alcotest.(check (list int)) (branch ^ " does not select another's") []
+            (named s branch other);
+          (* a new write of another branch's string reads back as written *)
+          set s branch o2 other;
+          Alcotest.(check string) (branch ^ " writes another's string") (Fmt.str "%S" other)
+            (name s branch o2);
+          Alcotest.(check (list int)) (branch ^ " selects it") [ 2 ] (named s branch other))
+        [ ("dev", "d", "m"); (Mvcc.main_branch, "m", "w"); ("swap", "w", "d") ];
+      let want = dumps s in
+      Mvcc.close s;
+      let s = open_store () in
+      Alcotest.(check (list string)) "and again after those writes" want (dumps s);
+      Mvcc.close s)
+
 let test_head_after_close () =
   let s = Mvcc.create schema in
   ignore (Mvcc.head s ~branch:Mvcc.main_branch);
@@ -304,49 +365,6 @@ module Body = Tdp_core.Body
 let person_attrs = [ "ssn"; "name"; "date_of_birth" ]
 let employee_attrs = person_attrs @ [ "pay_rate"; "hrs_worked" ]
 
-(* A seeded snapshot: Persons and Employees (subtype instances) with
-   some null slots, then one object deleted. *)
-let store_gen =
-  QCheck.Gen.(
-    let opt g = frequency [ (3, map Option.some g); (1, return None) ] in
-    let obj =
-      map3
-        (fun emp (ssn, name, dob) (rate, hrs) -> (emp, ssn, name, dob, rate, hrs))
-        bool
-        (triple (opt (int_range 0 20)) (opt (oneofl [ "a"; "bob"; "zzz" ]))
-           (opt (int_range 1950 2000)))
-        (pair (opt (oneofl [ 0.0; 1.5; 20.0; 50.0 ])) (opt (oneofl [ 10.0; 40.0 ])))
-    in
-    pair (list_size (int_range 0 25) obj) (int_range 0 30))
-
-let snapshot_of_gen (objs, victim) =
-  let s = Mvcc.create schema in
-  let t = Mvcc.begin_ s in
-  let oids =
-    List.map
-      (fun (emp, ssn, name, dob, rate, hrs) ->
-        let slot a f = Option.map (fun v -> (at a, f v)) in
-        let init =
-          List.filter_map Fun.id
-            [ slot "ssn" (fun i -> Value.Int i) ssn;
-              slot "name" (fun n -> Value.String n) name;
-              slot "date_of_birth" (fun y -> Value.Date y) dob
-            ]
-          @
-          if emp then
-            List.filter_map Fun.id
-              [ slot "pay_rate" (fun f -> Value.Float f) rate;
-                slot "hrs_worked" (fun f -> Value.Float f) hrs
-              ]
-          else []
-        in
-        Mvcc.new_object t (ty (if emp then "Employee" else "Person")) ~init)
-      objs
-  in
-  (match List.nth_opt oids victim with Some o -> Mvcc.delete t o | None -> ());
-  ignore (commit_exn t);
-  Mvcc.head s ~branch:Mvcc.main_branch
-
 (* View expressions paired with the attributes they carry, so
    predicates and projections only name available ones (literals of
    any kind: comparisons are total). *)
@@ -360,7 +378,7 @@ let view_gen =
         (frequency
            [ (3, map (fun i -> Body.Int i) (int_range 0 20));
              (2, map (fun f -> Body.Float f) (oneofl [ 1.5; 20.0; 1975.0 ]));
-             (2, map (fun s -> Body.String s) (oneofl [ "a"; "bob" ]));
+             (2, map (fun s -> Body.String s) (oneofl [ "a"; "bob"; "late" ]));
              (1, return Body.Null)
            ])
     in
@@ -410,19 +428,341 @@ let view_gen =
     in
     map fst (expr 3))
 
-let prop_snapshot_instances =
-  QCheck.Test.make ~name:"Mvcc.instances ≡ View.instances over to_database" ~count:500
+(* The oracle is a plain columnar [Database] fed the same ops as the
+   store, op by op; the store commits every few ops, so its heads carry
+   deltas on both sides of compactions (the store compacts every 64
+   distinct writes at this size, and at once on a schema swap).
+   Deletes leave tombstones over base rows, [new] makes Persons,
+   Employees (a subtype) and Teams (references), sets hit the
+   predicated attributes, and the name "late" is only ever set — so a
+   predicate on it finds no id in a base's string pool until a
+   compaction folds it in.  Every pinned head must still answer as it
+   did when it was published. *)
+
+open Tdp_core
+
+let team_def =
+  Type_def.make
+    ~attrs:
+      [ Attribute.make (at "manager") (Value_type.named (ty "Employee"));
+        Attribute.make (at "buddy") (Value_type.named (ty "Person"))
+      ]
+    (ty "Team")
+
+let team_schema = Schema.add_type schema team_def
+let evolved_team_schema = Schema.add_type (Tdp_paper.Fig1.project ()).schema team_def
+
+type sop =
+  | S_new of string * (string * Value.t) list
+  | S_set of int * string * Value.t
+  | S_ref of int * string * int
+  | S_del of int * Database.delete_policy
+  | S_schema
+  | S_commit
+
+let pp_sop ppf = function
+  | S_new (t, init) ->
+      Fmt.pf ppf "new %s %a" t
+        Fmt.(list ~sep:sp (pair ~sep:(any "=") string Value.pp))
+        init
+  | S_set (k, a, v) -> Fmt.pf ppf "set %d.%s = %a" k a Value.pp v
+  | S_ref (k, a, j) -> Fmt.pf ppf "set %d.%s = ->%d" k a j
+  | S_del (k, p) -> Fmt.pf ppf "del %d%s" k (if p = Database.Nullify then " nullify" else "")
+  | S_schema -> Fmt.string ppf "schema"
+  | S_commit -> Fmt.string ppf "commit"
+
+let sop_gen =
+  QCheck.Gen.(
+    let pick = int_range 0 999 in
+    let name = oneofl [ "a"; "bob"; "zzz" ] in
+    let person =
+      map2
+        (fun ssn n -> [ ("ssn", Value.Int ssn); ("name", Value.String n) ])
+        (int_range 0 20) name
+    in
+    frequency
+      [ (3, map (fun i -> S_new ("Person", i)) person);
+        ( 4,
+          map2
+            (fun i r -> S_new ("Employee", i @ [ ("pay_rate", Value.Float r) ]))
+            person
+            (oneofl [ 0.0; 1.5; 20.0; 50.0 ]) );
+        (1, return (S_new ("Team", [])));
+        (3, map2 (fun k v -> S_set (k, "ssn", Value.Int v)) pick (int_range 0 20));
+        ( 2,
+          map2
+            (fun k n -> S_set (k, "name", Value.String n))
+            pick
+            (oneofl [ "a"; "bob"; "late" ]) );
+        (2, map3 (fun k a j -> S_ref (k, a, j)) pick (oneofl [ "manager"; "buddy" ]) pick);
+        ( 2,
+          map2
+            (fun k p -> S_del (k, p))
+            pick
+            (oneofl [ Database.Restrict; Database.Nullify ]) );
+        (1, return S_schema);
+        (2, return S_commit)
+      ])
+
+(* Per view: its instances, or the failure. *)
+let answers views inst =
+  List.map
+    (fun e ->
+      match inst e with
+      | l -> Ok (List.map Tdp_store.Oid.to_int l)
+      | exception (Database.Store_error m) -> Error m
+      | exception Error.E _ -> Error "error")
+    views
+
+let check_against_oracle ~what snap db views =
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) what in
+  let ints = List.map Tdp_store.Oid.to_int in
+  let h = Database.hierarchy db in
+  let types = Hierarchy.type_names h in
+  if Mvcc.count snap <> Database.count db then
+    fail "count %d, oracle %d" (Mvcc.count snap) (Database.count db);
+  let all = List.sort_uniq compare (List.concat_map (fun t -> ints (Mvcc.extent snap t)) types) in
+  if Mvcc.count snap <> List.length all then
+    fail "count %d, but the extents hold %d" (Mvcc.count snap) (List.length all);
+  List.iter
+    (fun t ->
+      if ints (Mvcc.extent snap t) <> ints (Database.extent db t) then
+        fail "extent %s differs" (Type_name.to_string t))
+    types;
+  for k = 1 to Database.next_oid db do
+    let o = oid k in
+    let slots f x = try Some (f x o) with Database.Store_error _ -> None in
+    if
+      not
+        (Option.equal (Attr_name.Map.equal Value.equal) (slots Mvcc.slots snap)
+           (slots Database.slots db))
+    then fail "slots of #%d differ" k;
+    if Mvcc.referrers snap o <> Database.referrers db o then fail "referrers of #%d differ" k
+  done;
+  let got = answers views (Mvcc.instances snap) and want = answers views (View.instances db) in
+  if got <> want then fail "instances differ";
+  true
+
+let prop_snapshot_oracle =
+  QCheck.Test.make ~name:"Mvcc ≡ a Database fed the same ops" ~count:300
     (QCheck.make
-       QCheck.Gen.(pair store_gen view_gen)
-       ~print:(fun (_, e) -> Fmt.str "%a" View.pp_expr e))
-    (fun (g, e) ->
-      let snap = snapshot_of_gen g in
-      let ints = List.map Tdp_store.Oid.to_int in
-      let want = ints (View.instances (Mvcc.to_database snap) e)
-      and got = ints (Mvcc.instances snap e) in
-      want = got
-      || QCheck.Test.fail_reportf "View.instances [%a] <> Mvcc.instances [%a]"
-           Fmt.(list ~sep:sp int) want Fmt.(list ~sep:sp int) got)
+       QCheck.Gen.(pair (list_size (int_range 20 300) sop_gen) (list_size (return 4) view_gen))
+       ~print:(fun (ops, views) ->
+         Fmt.str "%a@.views: %a" Fmt.(list ~sep:cut pp_sop) ops
+           Fmt.(list ~sep:semi View.pp_expr) views))
+    (fun (ops, views) ->
+      let store = Mvcc.create ~load_schema:(fun _ -> evolved_team_schema) team_schema in
+      let db = Database.create team_schema in
+      let txn = ref (Mvcc.begin_ store) in
+      let pinned = ref [] in
+      let commit () =
+        ignore (commit_exn !txn);
+        let snap = Mvcc.head store ~branch:Mvcc.main_branch in
+        ignore (check_against_oracle ~what:"head" snap db views);
+        pinned := (snap, Dump.to_string db, answers views (View.instances db)) :: !pinned;
+        txn := Mvcc.begin_ store
+      in
+      (* one op on both sides: the same verdict, and the same oid *)
+      let both what f g =
+        let r f = match f () with x -> Ok x | exception Database.Store_error m -> Error m in
+        let a = r f and b = r g in
+        if a <> b then QCheck.Test.fail_reportf "%s: store and oracle disagree" what
+      in
+      let target k = oid (1 + (k mod max 1 (Database.next_oid db - 1))) in
+      List.iter
+        (fun op ->
+          let what = Fmt.str "%a" pp_sop op in
+          match op with
+          | S_commit -> commit ()
+          | S_schema ->
+              Mvcc.set_schema !txn ~source:"evolved";
+              Database.set_schema db evolved_team_schema
+          | S_new (t, init) ->
+              let init = List.map (fun (a, v) -> (at a, v)) init in
+              both what
+                (fun () -> Mvcc.new_object !txn (ty t) ~init)
+                (fun () -> Database.new_object db (ty t) ~init)
+          | S_set (k, a, v) ->
+              both what
+                (fun () -> Mvcc.set_attr !txn (target k) (at a) v)
+                (fun () -> Database.set_attr db (target k) (at a) v)
+          | S_ref (k, a, j) ->
+              let v = Value.Ref (target j) in
+              both what
+                (fun () -> Mvcc.set_attr !txn (target k) (at a) v)
+                (fun () -> Database.set_attr db (target k) (at a) v)
+          | S_del (k, policy) ->
+              both what
+                (fun () -> Mvcc.delete !txn ~policy (target k))
+                (fun () -> Database.delete db ~policy (target k)))
+        ops;
+      commit ();
+      List.for_all
+        (fun (snap, dump, want) ->
+          (Mvcc.dump snap = dump && answers views (Mvcc.instances snap) = want)
+          || QCheck.Test.fail_reportf "pinned version %d changed" (Mvcc.version snap))
+        !pinned)
+
+(* A commit compacts once the delta reaches its threshold; a schema
+   swap compacts at once; recovery folds its replayed delta in place;
+   and [to_database] hands out a copy the snapshot never sees again. *)
+let test_compaction_points () =
+  with_temp_dir (fun dir ->
+      let o = Mvcc.open_dir ~load_schema ~sync:false ~schema dir in
+      let s = o.Mvcc.store in
+      let head () = Mvcc.head s ~branch:Mvcc.main_branch in
+      let sizes =
+        List.init 100 (fun k ->
+            let t = Mvcc.begin_ s in
+            ignore (new_employee t k);
+            ignore (commit_exn t);
+            Mvcc.delta_size (head ()))
+      in
+      Alcotest.(check bool) "the delta grows, then a commit compacts it" true
+        (List.mem 0 sizes && List.exists (fun n -> n > 1) sizes);
+      Alcotest.(check int) "count" 100 (Mvcc.count (head ()));
+      let before = Mvcc.dump (head ()) in
+      let db = Mvcc.to_database (head ()) in
+      Database.set_attr db (oid 1) (at "ssn") (Value.Int 99);
+      ignore (Database.new_object db (ty "Employee") ~init:[]);
+      Alcotest.(check string) "to_database is a copy" before (Mvcc.dump (head ()));
+      let t = Mvcc.begin_ s in
+      Mvcc.set_attr t (oid 1) (at "ssn") (Value.Int 7);
+      Mvcc.set_schema t ~source:(Tdp_lang.Printer.print (Tdp_paper.Fig1.project ()).schema);
+      Alcotest.(check int) "a schema swap compacts at once" 0 (Mvcc.delta_size (Mvcc.view t));
+      ignore (commit_exn t);
+      let t = Mvcc.begin_ s in
+      Mvcc.set_attr t (oid 2) (at "ssn") (Value.Int 8);
+      ignore (commit_exn t);
+      let want = Mvcc.dump (head ()) in
+      Alcotest.(check bool) "a delta before the restart" true (Mvcc.delta_size (head ()) > 0);
+      Mvcc.close s;
+      let o = Mvcc.open_dir ~load_schema ~sync:false ~schema dir in
+      let h = Mvcc.head o.Mvcc.store ~branch:Mvcc.main_branch in
+      Alcotest.(check int) "recovery starts with an empty delta" 0 (Mvcc.delta_size h);
+      Alcotest.(check string) "and the same state" want (Mvcc.dump h);
+      Mvcc.close o.Mvcc.store)
+
+(* Reader domains scan and read pinned snapshots while a writer domain
+   commits through many compactions; each read must equal the oracle
+   state of its snapshot's version — so no compaction ever writes a
+   base a published snapshot holds.  The writer's script and the state
+   after every version are fixed up front. *)
+let test_compaction_under_readers () =
+  let n = 1000 and commits = 400 and low = 200 in
+  let db = Database.create schema in
+  for i = 0 to n - 1 do
+    ignore (Database.new_object db (ty "Employee") ~init:[ (at "ssn", Value.Int i) ])
+  done;
+  let s = Mvcc.of_database db in
+  let rng = Random.State.make [| 23 |] in
+  let states = Array.make (commits + 1) Tdp_store.Oid.Map.empty in
+  for k = 1 to n do
+    states.(0) <- Tdp_store.Oid.Map.add (oid k) (k - 1) states.(0)
+  done;
+  let next = ref (n + 1) in
+  let script =
+    Array.init commits (fun i ->
+        let live = Array.of_list (List.map fst (Tdp_store.Oid.Map.bindings states.(i))) in
+        let any () = live.(Random.State.int rng (Array.length live)) in
+        let sets =
+          List.init 3 (fun _ ->
+              Database.Op_set
+                { oid = any (); attr = at "ssn"; value = Value.Int (Random.State.int rng 4000) })
+        in
+        let fresh =
+          if i mod 3 = 0 then begin
+            let o = oid !next in
+            incr next;
+            [ Database.Op_new
+                { oid = o; ty = ty "Employee";
+                  init = [ (at "ssn", Value.Int (Random.State.int rng 4000)) ] } ]
+          end
+          else []
+        in
+        let gone =
+          if i mod 5 = 4 then [ Database.Op_delete { oid = any (); policy = Database.Restrict } ]
+          else []
+        in
+        let ops = sets @ fresh @ gone in
+        states.(i + 1) <-
+          List.fold_left
+            (fun m (op : Database.op) ->
+              match op with
+              | Op_set { oid; value = Value.Int v; _ }
+              | Op_new { oid; init = [ (_, Value.Int v) ]; _ } ->
+                  Tdp_store.Oid.Map.add oid v m
+              | Op_delete { oid; _ } -> Tdp_store.Oid.Map.remove oid m
+              | _ -> m)
+            states.(i) ops;
+        ops)
+  in
+  let select =
+    View.Select (View.Base (ty "Employee"), Pred.Cmp { attr = at "ssn"; op = Lt; value = Body.Int low })
+  in
+  (* per version: the selection, four point reads (deleted and fresh OIDs
+     included), and the count *)
+  let probes v = List.init 4 (fun j -> oid (1 + (((v * 37) + (j * 571)) mod (n + 200)))) in
+  let observe snap =
+    let ssn o =
+      match Mvcc.get_attr snap o (at "ssn") with
+      | Value.Int v -> Some v
+      | _ -> None
+      | exception Database.Store_error _ -> None
+    in
+    ( Mvcc.version snap,
+      List.map Tdp_store.Oid.to_int (Mvcc.instances snap select),
+      List.map ssn (probes (Mvcc.version snap)),
+      Mvcc.count snap )
+  in
+  let expect (v, _, _, _) =
+    let m = states.(v) in
+    ( v,
+      Tdp_store.Oid.Map.fold
+        (fun o x acc -> if x < low then Tdp_store.Oid.to_int o :: acc else acc)
+        m []
+      |> List.rev,
+      List.map (fun o -> Tdp_store.Oid.Map.find_opt o m) (probes v),
+      Tdp_store.Oid.Map.cardinal m )
+  in
+  let started = Atomic.make 0 and stop = Atomic.make false in
+  let reader () =
+    Atomic.incr started;
+    let first = Mvcc.head s ~branch:Mvcc.main_branch in
+    let seen = ref [ observe first ] in
+    while not (Atomic.get stop) do
+      seen := observe (Mvcc.head s ~branch:Mvcc.main_branch) :: !seen
+    done;
+    (* the first pinned snapshot, read again after every compaction *)
+    observe first :: !seen
+  in
+  let readers = List.init 2 (fun _ -> Domain.spawn reader) in
+  let compactions = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      while Atomic.get started < 2 do Domain.cpu_relax () done;
+      let writer () =
+        Array.iteri
+          (fun i ops ->
+            let before = Mvcc.delta_size (Mvcc.head s ~branch:Mvcc.main_branch) in
+            let t = Mvcc.begin_ s in
+            List.iter (Mvcc.stage t) ops;
+            Alcotest.(check int) "version" (i + 1) (commit_exn t);
+            if Mvcc.delta_size (Mvcc.head s ~branch:Mvcc.main_branch) < before then
+              incr compactions)
+          script
+      in
+      Domain.join (Domain.spawn writer));
+  let seen = List.concat_map Domain.join readers in
+  Alcotest.(check bool) "several compactions" true (!compactions >= 5);
+  Alcotest.(check bool) "readers saw many versions" true
+    (List.length (List.sort_uniq compare (List.map (fun (v, _, _, _) -> v) seen)) > 1);
+  List.iter
+    (fun obs ->
+      let v, _, _, _ = obs in
+      if obs <> expect obs then Alcotest.failf "a read at version %d differs from the oracle" v)
+    seen
 
 (* ---- durability: log round-trip, dangling brackets, fault injection - *)
 
@@ -907,8 +1247,14 @@ let suite =
       test_concurrent_staging;
     Alcotest.test_case "head of forked and replayed-fork branches" `Quick
       test_head_of_forked_branches;
+    Alcotest.test_case "forked strings survive a reopen" `Quick
+      test_forked_strings_survive_reopen;
     Alcotest.test_case "head after close" `Quick test_head_after_close;
-    QCheck_alcotest.to_alcotest prop_snapshot_instances;
+    QCheck_alcotest.to_alcotest prop_snapshot_oracle;
+    Alcotest.test_case "compaction: threshold, schema swap, recovery, copy" `Quick
+      test_compaction_points;
+    Alcotest.test_case "compaction under reader domains" `Quick
+      test_compaction_under_readers;
     Alcotest.test_case "reopen replays committed brackets" `Quick
       test_reopen_replays_commits;
     Alcotest.test_case "dangling bracket discarded (crash mid-commit)" `Quick
