@@ -19,8 +19,10 @@
                                              store sweep + replica/router
                                              throughput + the statement
                                              language's eval path + MVCC
-                                             snapshot reads; FILE
-                                             defaults to BENCH_12.json,
+                                             snapshot reads + catalog DDL
+                                             (define, drop, define+drop
+                                             over live views); FILE
+                                             defaults to BENCH_13.json,
                                              "-" = stdout)
         dune exec bench/main.exe -- bench --check FILE
                                             (re-measure in --small mode and
@@ -329,6 +331,66 @@ let pp_time ppf s =
   if s < 1e-6 then Fmt.pf ppf "%8.1f ns" (s *. 1e9)
   else if s < 1e-3 then Fmt.pf ppf "%8.2f us" (s *. 1e6)
   else Fmt.pf ppf "%8.3f ms" (s *. 1e3)
+
+(* Catalog DDL over the synth-ddl schema.  Figures are per template,
+   averaged over the 16. *)
+module Catalog = Tdp_algebra.Catalog
+module View = Tdp_algebra.View
+
+let ddl_views schema =
+  List.mapi
+    (fun k (source, projection) ->
+      (Fmt.str "V%d" k, View.Project (View.Base source, projection)))
+    (synth_ddl_templates schema)
+
+(* A catalog over [schema] holding [live] selection views, round-robin
+   over the base types.  Live views are selections, free leaves, because
+   each live projection re-factors the surrogates the earlier ones put
+   above its source: eight synth-ddl templates live at once make 805
+   types, and the eighth define alone takes over a minute. *)
+let with_live_selections schema live =
+  let h = Schema.hierarchy schema in
+  let sources =
+    List.filter_map
+      (fun n ->
+        match Hierarchy.all_attribute_names h n with
+        | a :: _ -> Some (n, a)
+        | [] -> None)
+      (Hierarchy.type_names h)
+  in
+  List.fold_left
+    (fun c i ->
+      let source, a = List.nth sources (i mod List.length sources) in
+      fst
+        (Catalog.define_exn c ~name:(Fmt.str "L%d" i)
+           (View.Select
+              (View.Base source, Tdp_algebra.Pred.cmp a Tdp_algebra.Pred.Le (Body.Int i)))))
+    (Catalog.create schema) (List.init live Fun.id)
+
+(* CPU seconds of one drop right after a checked define of the same
+   view: the drop a served define+drop pair pays. *)
+let ddl_drop_after_define schema =
+  let catalog = Catalog.create schema in
+  let defined =
+    List.map
+      (fun (name, expr) -> (name, fst (Catalog.define_exn catalog ~name expr)))
+      (ddl_views schema)
+  in
+  time_it (fun () ->
+      List.iter (fun (name, c) -> ignore (Catalog.drop_exn c ~name)) defined)
+  /. float_of_int (List.length defined)
+
+(* CPU seconds of a define+drop pair on top of [live] selection views. *)
+let ddl_define_drop schema ~live =
+  let catalog = with_live_selections schema live in
+  let views = ddl_views schema in
+  time_it (fun () ->
+      List.iter
+        (fun (name, expr) ->
+          let c, _ = Catalog.define_exn catalog ~name expr in
+          ignore (Catalog.drop_exn c ~name))
+        views)
+  /. float_of_int (List.length views)
 
 let table_s1 () =
   section "S1: IsApplicable scaling vs. number of methods (16 types, recursion on)";
@@ -1408,17 +1470,18 @@ let json_report ~small =
      its 16 view templates; the catalog's schema is recorded checked
      after the first pass, as a served catalog's is *)
   let ddl = synth_ddl () in
-  let ddl_catalog = Tdp_algebra.Catalog.create ddl in
-  let ddl_views = synth_ddl_templates ddl in
+  let ddl_catalog = Catalog.create ddl in
+  let views = ddl_views ddl in
   let t_define =
     time_it (fun () ->
-        List.iteri
-          (fun k (source, projection) ->
-            ignore
-              (Tdp_algebra.Catalog.define_exn ddl_catalog ~name:(Fmt.str "V%d" k)
-                 (Tdp_algebra.View.Project (Tdp_algebra.View.Base source, projection))))
-          ddl_views)
-    /. float_of_int (List.length ddl_views)
+        List.iter
+          (fun (name, expr) -> ignore (Catalog.define_exn ddl_catalog ~name expr))
+          views)
+    /. float_of_int (List.length views)
+  in
+  let t_drop = ddl_drop_after_define ddl in
+  let t_pairs =
+    List.map (fun live -> (live, ddl_define_drop ddl ~live)) [ 0; 8; 64 ]
   in
   (* the acceptance floors for the columnar engine are keyed on the
      100k point, which every mode measures *)
@@ -1460,11 +1523,16 @@ let json_report ~small =
         ns_per_op = ns t_repl_extent /. float_of_int repl_n
       };
       { name = "projection/define/checked"; ns_per_op = ns t_define };
+      { name = "projection/drop/after-define"; ns_per_op = ns t_drop };
       { name = "mvcc/instances/select-eq"; ns_per_op = mp.mp_eq_ns };
       { name = "mvcc/instances/select-range"; ns_per_op = mp.mp_range_ns };
       { name = "mvcc/get_attr"; ns_per_op = mp.mp_get_ns };
       { name = "mvcc/compact"; ns_per_op = mp.mp_compact_ns }
     ]
+    @ List.map
+        (fun (live, t) ->
+          { name = Fmt.str "projection/define-drop/live=%d" live; ns_per_op = ns t })
+        t_pairs
     @ List.concat_map
         (fun p ->
           [ { name = Fmt.str "index/build/n=%d" p.sw_n; ns_per_op = p.sw_build_ns };
@@ -1660,6 +1728,9 @@ let guarded_benchmarks =
     (* a checked view definition, preservation proof included; absent
        from BENCH_10.json and older baselines, first in BENCH_11.json *)
     "projection/define/checked";
+    (* a drop right after its define, which restores the recorded
+       pre-define schema; first in BENCH_13.json *)
+    "projection/drop/after-define";
     (* snapshot reads over the columnar base and one compaction; first
        in BENCH_12.json *)
     "mvcc/instances/select-eq";
@@ -1775,7 +1846,7 @@ let () =
   let rec out_of = function
     | "--out" :: v :: _ -> v
     | _ :: rest -> out_of rest
-    | [] -> "BENCH_12.json"
+    | [] -> "BENCH_13.json"
   in
   let rec check_of = function
     | "--check" :: v :: _ -> Some v

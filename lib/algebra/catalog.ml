@@ -3,15 +3,19 @@ open Tdp_core
 (* A catalog of named views over a schema: the bookkeeping a database
    system would keep around the paper's algorithms.  Views are defined
    by algebraic expressions, derive their types through {!View}, and
-   can be dropped again — the catalog undoes each derivation step in
-   reverse, using {!Unfactor} for projections, un-splicing for
-   generalizations, and plain removal for selection types. *)
+   can be dropped again.  Dropping the newest view over the schema its
+   define produced restores the recorded pre-define schema; any other
+   drop undoes each derivation step in reverse, using {!Unfactor} for
+   projections, un-splicing for generalizations, and plain removal for
+   selection types. *)
 
 type entry = {
   name : string;
   expr : View.expr;
   view_type : Type_name.t;
   steps : View.step list;
+  before : Schema.t;
+  after : Schema.t;
 }
 
 type t = { schema : Schema.t; entries : entry list (* oldest first *) }
@@ -58,7 +62,10 @@ let define_exn t ~name expr =
   let o =
     View.derive_exn t.schema ~view:name ~name:(Type_name.of_string name) expr
   in
-  let entry = { name; expr; view_type = o.name; steps = o.steps } in
+  let entry =
+    { name; expr; view_type = o.name; steps = o.steps; before = t.schema;
+      after = o.schema }
+  in
   ({ schema = o.schema; entries = t.entries @ [ entry ] }, entry)
 
 let define t ~name expr = Error.guard (fun () -> define_exn t ~name expr)
@@ -138,23 +145,36 @@ let remove_join schema name =
 
 let undo_step schema (step : View.step) =
   match step with
-  | Projected o -> Unfactor.drop_view_exn schema ~view:o.view
+  | Projected o -> Unfactor.drop_view_exn schema ~before:o.before ~view:o.view
   | Selected { name; _ } -> remove_selection schema name
   | Generalized o ->
       let schema = remove_generalization schema o in
-      Unfactor.drop_view_exn schema ~view:o.projection.view
+      Unfactor.drop_view_exn schema ~before:o.projection.before
+        ~view:o.projection.view
   | Joined { name; _ } -> remove_join schema name
+
+let undo_steps_exn schema steps =
+  let schema = List.fold_left undo_step schema (List.rev steps) in
+  (* Free when the last undo step was a view drop: [Unfactor] records
+     the schema it validated as checked. *)
+  Schema.validate_exn schema;
+  schema
 
 let drop_exn t ~name =
   match find_opt t name with
   | None -> Error.raise_ (Invariant_violation (Fmt.str "no view named %S" name))
   | Some entry ->
-      let schema =
-        List.fold_left undo_step t.schema (List.rev entry.steps)
+      (* Restore: the newest view over exactly the schema its define
+         produced drops back to the schema it was defined over — the
+         very value, already checked.  A later optimize or an
+         out-of-order drop replaces [t.schema], so those undo. *)
+      let restorable =
+        t.schema == entry.after
+        && match List.rev t.entries with newest :: _ -> newest == entry | [] -> false
       in
-      (* Free when the last undo step was a view drop: [Unfactor]
-         records the schema it validated as checked. *)
-      Schema.validate_exn schema;
+      let schema =
+        if restorable then entry.before else undo_steps_exn t.schema entry.steps
+      in
       { schema;
         entries = List.filter (fun e -> not (String.equal e.name name)) t.entries
       }

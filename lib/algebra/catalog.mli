@@ -2,11 +2,14 @@
 
     Wraps the derivation machinery in the bookkeeping a database system
     keeps: views are defined by algebraic expressions and named types,
-    and can be {e dropped} again — each derivation step is undone in
-    reverse ({!Unfactor} for projections, un-splicing for
-    generalizations, removal for selection types).  Dropping a view
-    other views were derived through fails with a descriptive error;
-    dropping in reverse definition order always succeeds. *)
+    and can be {e dropped} again.  Dropping the newest view while the
+    catalog's schema is still the one its define produced returns the
+    recorded pre-define schema itself; any other drop undoes each
+    derivation step in reverse ({!Unfactor} for projections,
+    un-splicing for generalizations, removal for selection types), and
+    the result prints the same.  Dropping a view other views were
+    derived through fails with a descriptive error; dropping in reverse
+    definition order always succeeds. *)
 
 open Tdp_core
 
@@ -15,6 +18,8 @@ type entry = {
   expr : View.expr;
   view_type : Type_name.t;  (** the derived type, named after the view *)
   steps : View.step list;
+  before : Schema.t;  (** the catalog schema the view was defined over *)
+  after : Schema.t;  (** the schema its define produced *)
 }
 
 type t
@@ -44,10 +49,19 @@ val define_exn : t -> name:string -> View.expr -> t * entry
 
 val define : t -> name:string -> View.expr -> (t * entry, Error.t) result
 
-(** @raise Error.E when the view is unknown or depended upon. *)
+(** Restores [before] of the named entry when it is the newest and the
+    catalog's schema is physically its [after]; otherwise
+    {!undo_steps_exn} over the entry's steps.
+    @raise Error.E when the view is unknown or depended upon. *)
 val drop_exn : t -> name:string -> t
 
 val drop : t -> name:string -> (t, Error.t) result
+
+(** The undo path of {!drop_exn}: undo [steps] (innermost first, as
+    recorded) in reverse over [schema], then validate.  Moved-back
+    attributes return to their pre-define positions.
+    @raise Error.E when a step is depended upon. *)
+val undo_steps_exn : Schema.t -> View.step list -> Schema.t
 
 (** {!Optimize.collapse_exn} protecting all cataloged view types {e and}
     every surrogate the recorded undo steps reference, so that views

@@ -139,18 +139,20 @@ let apply_change_exn schema change =
   Typing.check_schema_exn schema;
   schema
 
+(* Unwind in reverse definition order. *)
+let unwind_exn catalog =
+  List.fold_left
+    (fun c (e : Catalog.entry) -> Catalog.drop_exn c ~name:e.name)
+    catalog
+    (List.rev (Catalog.entries catalog))
+
 (* Evolve the base schema under the catalog's views: unwind, change,
    re-derive, and report per-view impact.  Views that no longer derive
    are dropped from the resulting catalog and reported as broken. *)
 let evolve_exn_uninstrumented catalog change =
   let before_entries = Catalog.entries catalog in
   let before_schema = Catalog.schema catalog in
-  (* unwind in reverse definition order *)
-  let unwound =
-    List.fold_left
-      (fun c (e : Catalog.entry) -> Catalog.drop_exn c ~name:e.name)
-      catalog (List.rev before_entries)
-  in
+  let unwound = unwind_exn catalog in
   let base = apply_change_exn (Catalog.schema unwound) change in
   (* renames propagate into the stored view expressions *)
   let rewrite_expr =

@@ -41,6 +41,13 @@ val pp_report : report Fmt.t
     @raise Error.E if the changed schema is invalid. *)
 val apply_change_exn : Schema.t -> change -> Schema.t
 
+(** Drop every view, newest first — the first phase of {!evolve_exn}.
+    Each drop restores its recorded pre-define schema while the
+    catalog's schema is the one its define produced, so a catalog built
+    by defines alone unwinds to its base schema value itself.
+    @raise Error.E if a drop fails. *)
+val unwind_exn : Catalog.t -> Catalog.t
+
 (** Evolve the catalog's base schema; returns the re-derived catalog
     and the impact report.
     @raise Error.E if unwinding fails or the base change is invalid. *)

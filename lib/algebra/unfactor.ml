@@ -6,7 +6,10 @@ open Tdp_core
    their origin.  Dropping the view moves every surrogate's local
    attributes back to its source, removes the surrogate types and their
    edges, and rewrites method signatures, re-typed locals, and result
-   types back from surrogate names to source names.
+   types back from surrogate names to source names.  Moved-back
+   attributes take their positions in [before], the schema the view was
+   derived from, so a drop in reverse definition order prints exactly
+   as that schema did.
 
    Precondition: nothing outside the view depends on its surrogates —
    no foreign type inherits from them and no other view was derived
@@ -21,7 +24,27 @@ let surrogates_of_view schema ~view =
       | Surrogate _ | Source -> acc)
     (Schema.hierarchy schema) []
 
-let drop_view_exn schema ~view =
+(* The local attributes of [def] in [before]'s order for the same type;
+   attributes [before] does not know keep their order, last. *)
+let in_order_of before def =
+  match Hierarchy.find_opt (Schema.hierarchy before) (Type_def.name def) with
+  | None -> def
+  | Some old ->
+      let rank a =
+        let rec go i = function
+          | [] -> max_int
+          | x :: rest ->
+              if Attr_name.equal (Attribute.name x) (Attribute.name a) then i
+              else go (i + 1) rest
+        in
+        go 0 (Type_def.attrs old)
+      in
+      Type_def.with_attrs def
+        (List.stable_sort
+           (fun a b -> Int.compare (rank a) (rank b))
+           (Type_def.attrs def))
+
+let drop_view_exn schema ~before ~view =
   let pairs = surrogates_of_view schema ~view in
   if pairs = [] then
     Error.raise_ (Invariant_violation (Fmt.str "no view named %S" view));
@@ -78,7 +101,7 @@ let drop_view_exn schema ~view =
             h attrs
         in
         Hierarchy.update h src (fun def ->
-            Type_def.with_supers def
+            Type_def.with_supers (in_order_of before def)
               (List.filter
                  (fun (s, _) -> not (Type_name.equal s hat))
                  (Type_def.supers def))))
@@ -114,4 +137,5 @@ let drop_view_exn schema ~view =
   Invariants.recheck_exn ~before:schema ~after:restored;
   restored
 
-let drop_view schema ~view = Error.guard (fun () -> drop_view_exn schema ~view)
+let drop_view schema ~before ~view =
+  Error.guard (fun () -> drop_view_exn schema ~before ~view)

@@ -50,7 +50,7 @@ let m_intern_evict = Obs.Metrics.counter "schema_index.intern.evict"
 let row_base t i = i * t.row_words * 8
 
 let test_bit t i j =
-  let word = Bytes.get_int64_le t.closure (row_base t i + (j lsr 6 lsl 3)) in
+  let word = Bytes.get_int64_le t.closure (row_base t i + ((j lsr 6) lsl 3)) in
   Int64.logand word (Int64.shift_left 1L (j land 63)) <> 0L
 
 let set_bit closure ~row_words i j =

@@ -65,11 +65,9 @@ let test_diff_edge_and_removal () =
 (* Unfactor (drop view)                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Semantic equivalence of two schemas over a set of type names:
-   identical type-name sets, local and cumulative attribute sets,
-   supertype lists, and method signatures.  Local attribute *order*
-   may legitimately differ after a round-trip (moved attributes are
-   appended on restore). *)
+(* Equivalence of two schemas over a set of type names: identical
+   type-name sets, local attribute lists (in order), supertype lists,
+   and method signatures — and, as a whole, the same printed schema. *)
 let check_equivalent before after =
   let hb = Schema.hierarchy before and ha = Schema.hierarchy after in
   Alcotest.(check (list string)) "same types"
@@ -78,11 +76,10 @@ let check_equivalent before after =
   List.iter
     (fun def ->
       let n = Type_def.name def in
-      let sort l = List.sort Attr_name.compare l in
       Alcotest.check attr_names
         (Type_name.to_string n ^ " local attrs")
-        (sort (List.map Attribute.name (Type_def.attrs def)))
-        (sort (List.map Attribute.name (Type_def.attrs (Hierarchy.find ha n))));
+        (List.map Attribute.name (Type_def.attrs def))
+        (List.map Attribute.name (Type_def.attrs (Hierarchy.find ha n)));
       Alcotest.check supers_t
         (Type_name.to_string n ^ " supers")
         (Type_def.supers def)
@@ -95,21 +92,25 @@ let check_equivalent before after =
         (Fmt.str "signature of %s" (Method_def.id m))
         true
         (Signature.equal (Method_def.signature m) (Method_def.signature m')))
-    (Schema.all_methods before)
+    (Schema.all_methods before);
+  Alcotest.(check string) "printed schema"
+    (Fmt.str "%a" Schema.pp before)
+    (Fmt.str "%a" Schema.pp after)
 
 let test_drop_view_fig1 () =
   let o = Tdp_paper.Fig1.project () in
-  let restored = Unfactor.drop_view_exn o.schema ~view:"employee_view" in
+  let restored = Unfactor.drop_view_exn o.schema ~before:o.before ~view:"employee_view" in
   check_equivalent o.before restored
 
 let test_drop_view_fig3_with_z () =
   (* includes Augment surrogates and §6.3 re-typed locals/results *)
   let o = Tdp_paper.Fig3.project ~schema:Tdp_paper.Fig3.schema_with_z () in
-  let restored = Unfactor.drop_view_exn o.schema ~view:"a_view" in
+  let restored = Unfactor.drop_view_exn o.schema ~before:o.before ~view:"a_view" in
   check_equivalent o.before restored
 
 let test_drop_unknown_view () =
-  match Unfactor.drop_view Tdp_paper.Fig1.schema ~view:"nope" with
+  match Unfactor.drop_view Tdp_paper.Fig1.schema ~before:Tdp_paper.Fig1.schema
+      ~view:"nope" with
   | Error (Invariant_violation _) -> ()
   | Error e -> Alcotest.failf "unexpected error %a" Error.pp e
   | Ok _ -> Alcotest.fail "expected failure"
@@ -121,7 +122,7 @@ let test_drop_depended_upon_view () =
     Projection.project_exn o1.schema ~view:"v2" ~derived_name:(ty "Tiny")
       ~source:(ty "Employee_hat") ~projection:[ at "ssn" ] ()
   in
-  match Unfactor.drop_view o2.schema ~view:"employee_view" with
+  match Unfactor.drop_view o2.schema ~before:o1.before ~view:"employee_view" with
   | Error (Invariant_violation _) -> ()
   | Error e -> Alcotest.failf "unexpected error %a" Error.pp e
   | Ok _ -> Alcotest.fail "dropping a depended-upon view must fail"
@@ -133,9 +134,9 @@ let test_drop_views_in_reverse_order () =
     Projection.project_exn o1.schema ~view:"v2" ~derived_name:(ty "Tiny")
       ~source:(ty "Employee_hat") ~projection:[ at "ssn" ] ()
   in
-  let s1 = Unfactor.drop_view_exn o2.schema ~view:"v2" in
+  let s1 = Unfactor.drop_view_exn o2.schema ~before:o2.before ~view:"v2" in
   check_equivalent o1.schema s1;
-  let s0 = Unfactor.drop_view_exn s1 ~view:"employee_view" in
+  let s0 = Unfactor.drop_view_exn s1 ~before:o1.before ~view:"employee_view" in
   check_equivalent o1.before s0
 
 let suite_diff =

@@ -346,7 +346,7 @@ let prop_drop_differential =
         ~source:o.source ~projection:o.projection ~analysis:o.analysis;
       if not (Schema.checked o.schema) then
         QCheck.Test.fail_report "a checked outcome was not recorded checked";
-      let restored = Unfactor.drop_view_exn o.schema ~view:o.view in
+      let restored = Unfactor.drop_view_exn o.schema ~before:o.before ~view:o.view in
       Oracle.schema_exn restored;
       let olds = Hierarchy.type_names (h restored) in
       List.iter

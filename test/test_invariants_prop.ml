@@ -136,7 +136,8 @@ let prop_unfactor_roundtrip =
     (fun seed ->
       let o = project seed in
       let restored =
-        Tdp_algebra.Unfactor.drop_view_exn o.schema ~view:(Fmt.str "view%d" seed)
+        Tdp_algebra.Unfactor.drop_view_exn o.schema ~before:o.before
+          ~view:(Fmt.str "view%d" seed)
       in
       let hb = Schema.hierarchy o.before and hr = Schema.hierarchy restored in
       List.for_all

@@ -59,6 +59,26 @@ let prop_subtype_eq_reachability =
             names)
         names)
 
+(* Closure rows wider than one 64-bit word: the properties above stay
+   under 64 types, where every column sits in a row's first word. *)
+let test_subtype_past_one_word () =
+  let h =
+    Schema.hierarchy
+      (Tdp_synth.Synth.generate { (config_of_seed 7) with n_types = 150 })
+  in
+  let idx = Schema_index.of_hierarchy h in
+  let names = Hierarchy.type_names h in
+  Alcotest.(check bool) "more than 128 types" true (List.length names > 128);
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Schema_index.subtype idx a b <> reachable h a b then
+            Alcotest.failf "%a ⪯ %a: index says %b" Type_name.pp a Type_name.pp b
+              (Schema_index.subtype idx a b))
+        names)
+    names
+
 let prop_ancestors_eq =
   QCheck.Test.make ~name:"ancestor set/list ≡ Hierarchy.ancestors_or_self"
     ~count:200 seed_arb (fun seed ->
@@ -289,6 +309,8 @@ let () =
           ] );
       ( "unit",
         [ Alcotest.test_case "unknown-type semantics" `Quick test_unknown_semantics;
+          Alcotest.test_case "subtype past one closure word" `Quick
+            test_subtype_past_one_word;
           Alcotest.test_case "interning" `Quick test_interning;
           Alcotest.test_case "generation monotone" `Quick test_generation_monotone;
           Alcotest.test_case "of_hierarchy interned" `Quick test_of_hierarchy_interned;
