@@ -27,8 +27,6 @@ let entries t = t.entries
 let find_opt t name =
   List.find_opt (fun e -> String.equal e.name name) t.entries
 
-let view_types t = List.map (fun e -> e.view_type) t.entries
-
 (* Lower the catalog's entries plus a candidate expression to a
    pipeline program, in definition order: each entry may reference the
    entries defined before it. *)
@@ -194,10 +192,14 @@ let protected_of_step (step : View.step) =
       o.name :: o.projection.derived :: of_surrogates o.projection.surrogates []
   | Joined { name; _ } -> [ name ]
 
-(* Collapse empty surrogates, protecting every cataloged view type and
-   every type the recorded undo steps reference. *)
+(* Collapse empty surrogates, protecting every cataloged view type,
+   every type the recorded undo steps reference, and those types' direct
+   supertypes and subtypes: collapsing a neighbour the base schema
+   brought along splices its own neighbours onto the step's types (a
+   base type would then inherit from the view's surrogate), and the
+   undo would refuse to drop them. *)
 let optimize_exn t =
-  let protect =
+  let named =
     List.fold_left
       (fun acc e ->
         List.fold_left
@@ -207,6 +209,14 @@ let optimize_exn t =
           (Type_name.Set.add e.view_type acc)
           e.steps)
       Type_name.Set.empty t.entries
+  in
+  let h = Schema.hierarchy t.schema in
+  let protect =
+    Type_name.Set.fold
+      (fun n acc ->
+        List.fold_left (fun acc m -> Type_name.Set.add m acc) acc
+          (Hierarchy.direct_super_names h n @ Hierarchy.direct_subs h n))
+      named named
   in
   let schema, removed = Optimize.collapse_exn ~protect t.schema in
   ({ t with schema }, removed)

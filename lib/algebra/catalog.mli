@@ -31,7 +31,6 @@ val schema : t -> Schema.t
 val entries : t -> entry list
 
 val find_opt : t -> string -> entry option
-val view_types : t -> Type_name.t list
 
 (** Typecheck a candidate view {e before} any derivation: infer its
     principal schema ({!Tdp_infer.Infer}) in the context of the
@@ -63,9 +62,10 @@ val drop : t -> name:string -> (t, Error.t) result
     @raise Error.E when a step is depended upon. *)
 val undo_steps_exn : Schema.t -> View.step list -> Schema.t
 
-(** {!Optimize.collapse_exn} protecting all cataloged view types {e and}
-    every surrogate the recorded undo steps reference, so that views
-    remain droppable afterwards; returns the removed surrogates. *)
+(** {!Optimize.collapse_exn} protecting all cataloged view types, every
+    type the recorded undo steps reference, {e and} those types' direct
+    supertypes and subtypes, so that views remain droppable afterwards;
+    returns the removed surrogates. *)
 val optimize_exn : t -> t * Type_name.t list
 
 val pp : t Fmt.t

@@ -125,6 +125,3 @@ let create db ~view_type expr =
   t
 
 let copies t = List.map snd (Oid.Map.bindings t.mapping)
-
-let pp_stats ppf s =
-  Fmt.pf ppf "+%d -%d ~%d" s.added s.removed s.updated

@@ -37,5 +37,3 @@ val refresh : ?force:bool -> Tdp_store.Database.t -> t -> stats
 
 (** Copy OIDs, in source-OID order. *)
 val copies : t -> Oid.t list
-
-val pp_stats : stats Fmt.t

@@ -135,56 +135,46 @@ let derive_exn ?check schema ~view ?name expr =
 let derive ?check schema ~view ?name expr =
   Error.guard (fun () -> derive_exn ?check schema ~view ?name expr)
 
-(* Instantiation of a view over a database, with view-type identity
-   semantics: a projection view's instances are the source instances
-   themselves; a selection filters them.  Since the projection pipeline
-   makes the derived type a supertype of its source, the Base case's
-   deep extent already contains everything.
-
-   A Project/Select chain over a Base flattens to (base type, combined
-   predicate) — projection contributes nothing at instance level — and
-   runs through the vectorized [Pred.scan] instead of per-object
-   filtering.  The conjunction keeps inner-predicate-first order, so
-   per-row evaluation (and short-circuiting) matches the nested
-   filters it replaces. *)
-let rec flatten = function
-  | Base n -> Some (n, None)
-  | Project (e, _) -> flatten e
-  | Select (e, p) -> (
-      match flatten e with
-      | Some (n, None) -> Some (n, Some p)
-      | Some (n, Some q) -> Some (n, Some (Pred.And (q, p)))
-      | None -> None)
-  | Generalize _ | Join _ -> None
-
 let rec has_join = function
   | Base _ -> false
   | Project (e, _) | Select (e, _) -> has_join e
   | Generalize (a, b) -> has_join a || has_join b
   | Join _ -> true
 
-let rec instances db expr =
-  match flatten expr with
-  | Some (n, None) -> Tdp_store.Database.extent db n
-  | Some (n, Some p) -> Pred.scan db n p
-  | None -> (
-      match expr with
-      | Base _ -> assert false (* a Base always flattens *)
-      | Project (e, _) -> instances db e
-      | Select (e, pred) ->
-          let test = Pred.holds pred in
-          List.filter
-            (fun oid -> test (Tdp_store.Database.get_attr db oid))
-            (instances db e)
-      | Generalize (a, b) ->
-          List.sort_uniq Tdp_store.Oid.compare (instances db a @ instances db b)
-      | Join _ ->
-          (* a join instance is a pair of operand instances, not an
-             existing object; only Join.materialize over named operand
-             types gives joins a data plane *)
-          Error.raise_
-            (Invariant_violation
-               "join views have no identity instances; use Join.materialize"))
+(* Instantiation of a view, with view-type identity semantics: a
+   projection view's instances are the source instances themselves (the
+   pipeline makes the derived type a supertype of its source, so the
+   Base case's deep extent already holds them); a selection filters
+   them.  Filtering distributes over a generalization's union, so every
+   selection pushes down to its Base leaves, where the store evaluates
+   the conjunction in one pass.  The conjunction keeps
+   inner-predicate-first order, so per-row evaluation (and
+   short-circuiting) matches the nested filters it replaces. *)
+let instances_with ~leaf expr =
+  let rec go preds = function
+    | Base n -> (
+        match preds with
+        | [] -> leaf n None
+        | p :: rest ->
+            leaf n (Some (List.fold_left (fun a b -> Pred.And (a, b)) p rest)))
+    | Project (e, _) -> go preds e
+    | Select (e, p) -> go (p :: preds) e
+    | Generalize (a, b) ->
+        List.sort_uniq Tdp_store.Oid.compare (go preds a @ go preds b)
+    | Join _ ->
+        (* a join instance is a pair of operand instances, not an
+           existing object; only Join.materialize over named operand
+           types gives joins a data plane *)
+        Error.raise_
+          (Invariant_violation
+             "join views have no identity instances; use Join.materialize")
+  in
+  go [] expr
+
+let instances db =
+  instances_with ~leaf:(fun n -> function
+    | None -> Tdp_store.Database.extent db n
+    | Some p -> Pred.scan db n p)
 
 (* Materialization: copy each view instance into a fresh object of the
    derived view type, carrying exactly the view's attributes. *)

@@ -57,11 +57,24 @@ val derive :
     structured error instead of an exception pre-check with this. *)
 val has_join : expr -> bool
 
-(** View instances with identity semantics (projection keeps OIDs,
-    selection filters).
+(** [instances_with ~leaf expr] — the view's instances with identity
+    semantics, for any store: projections pass through, every selection
+    pushes down to its [Base] leaves (filtering distributes over a
+    generalization's union), and a generalization is the sorted union
+    of its operands.  The store supplies [leaf n p]: the deep extent of
+    [n] in OID order, filtered by [p] when given, where [p] conjoins the
+    leaf's selections inner predicate first.
     @raise Error.E on a [Join] view: a join instance is a {e pair} of
     operand instances, so joins have no identity semantics — use
     {!Join.materialize} over the operand types instead. *)
+val instances_with :
+  leaf:(Type_name.t -> Pred.t option -> Tdp_store.Oid.t list) ->
+  expr ->
+  Tdp_store.Oid.t list
+
+(** {!instances_with} over a database: a leaf is
+    {!Tdp_store.Database.extent}, or one {!Pred.scan} when filtered.
+    @raise Error.E on a [Join] view. *)
 val instances : Tdp_store.Database.t -> expr -> Tdp_store.Oid.t list
 
 (** Copy view instances into fresh objects of [view_type].

@@ -272,10 +272,10 @@ let rec row_attrs h (e : View.expr) : Attr_name.t list =
       ra @ List.filter (fun a_ -> not (List.mem a_ ra)) (row_attrs h b)
 
 (* Identity instances.  Join views have none (TDP054, the structured
-   form of [View.instances]'s raise); everything else either takes the
-   backend's one-pass path ([View.instances] over a [Database],
-   [Mvcc.instances] over a served snapshot) or the generic per-object
-   evaluator below. *)
+   form of [View.instances_with]'s raise); everything else either takes
+   the backend's one-pass path ([View.instances] over a [Database],
+   [Mvcc.instances] over a served snapshot) or [View]'s walker with a
+   per-object leaf over [s_extent] and [s_get]. *)
 let instances t ?position expr =
   if View.has_join expr then
     fail ?file:t.file ?position "TDP054"
@@ -284,17 +284,11 @@ let instances t ?position expr =
     match t.ops.s_instances with
     | Some f -> f expr
     | None ->
-        let rec go (e : View.expr) =
-          match e with
-          | Base n -> t.ops.s_extent n
-          | Project (e, _) -> go e
-          | Select (e, p) ->
+        View.instances_with expr ~leaf:(fun n -> function
+          | None -> t.ops.s_extent n
+          | Some p ->
               let test = Pred.holds p in
-              List.filter (fun oid -> test (t.ops.s_get oid)) (go e)
-          | Generalize (a, b) -> List.sort_uniq Oid.compare (go a @ go b)
-          | Join _ -> assert false (* checked above *)
-        in
-        go expr
+              List.filter (fun oid -> test (t.ops.s_get oid)) (t.ops.s_extent n))
 
 let svalue_to_value (v : Ast.svalue) : Value.t =
   match v with

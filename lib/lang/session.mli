@@ -30,9 +30,11 @@ module Diagnostic = Tdp_analysis.Diagnostic
     computes identity extents in one pass over the backend:
     {!View.instances} over a {!Database}, or the server's
     snapshot fold ([Mvcc.instances] over the snapshot its [eval]
-    request pinned).  It must agree with the generic evaluator used
-    without it, which filters [s_extent] per object through [s_get]
-    with {!Tdp_algebra.Pred.holds}. *)
+    request pinned).  Without it, the session runs
+    {!View.instances_with} with a leaf that filters [s_extent] per
+    object through [s_get] with {!Tdp_algebra.Pred.holds}.  The two
+    backends above share that walker, so only their leaves can
+    disagree with it. *)
 type store_ops = {
   s_schema : unit -> Schema.t;
   s_extent : Type_name.t -> Oid.t list;

@@ -154,7 +154,6 @@ let length b = b.b_len
 let free_rows b = List.length b.b_free
 let is_sorted b = b.b_sorted
 let oid_at b row = Oid.of_int b.b_oids.(row)
-let is_live b row = row < b.b_len && Bytes.get b.b_alive row = '\001'
 let stamp b row = b.b_stamps.(row)
 let set_stamp b row s = b.b_stamps.(row) <- s
 
@@ -288,15 +287,6 @@ let iter_live b f =
   for row = 0 to b.b_len - 1 do
     if Bytes.get b.b_alive row = '\001' then f row
   done
-
-let first_live b =
-  let out = ref None in
-  (try
-     iter_live b (fun row ->
-         out := Some (oid_at b row);
-         raise Exit)
-   with Exit -> ());
-  !out
 
 (* Live OIDs in ascending order — a plain copy when the block is still
    append-ordered, an explicit sort otherwise. *)

@@ -113,7 +113,6 @@ val alloc : t -> Oid.t -> int
     an empty, sorted state when the last live row is released. *)
 val release : t -> int -> unit
 
-val is_live : t -> int -> bool
 val oid_at : t -> int -> Oid.t
 
 (** Logical tick of the row's last mutation. *)
@@ -128,9 +127,6 @@ val write : t -> row:int -> col:int -> Value.t -> unit
 
 (** Live rows, ascending row order. *)
 val iter_live : t -> (int -> unit) -> unit
-
-(** OID of some live row ([None] on an empty block). *)
-val first_live : t -> Oid.t option
 
 (** Live OIDs in ascending OID order. *)
 val live_oids : t -> Oid.t list

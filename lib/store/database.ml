@@ -543,7 +543,6 @@ let advance_next_oid t n = t.next <- max t.next n
 (* ---- columnar internals (scan path, stats) -------------------------- *)
 
 let scan_blocks = extent_blocks
-let string_pool t = t.pool
 
 type block_stat = {
   st_ty : Type_name.t;

@@ -215,9 +215,6 @@ val reserve : t -> int -> unit
     {!extent}. *)
 val scan_blocks : t -> Type_name.t -> Columns.t list
 
-(** The database's string intern pool (shared by every block). *)
-val string_pool : t -> Columns.Pool.t
-
 type block_stat = {
   st_ty : Type_name.t;
   st_live : int;  (** live rows *)

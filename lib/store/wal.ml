@@ -219,9 +219,6 @@ let cursor ~magic ~parse ?(base = 0) ?next_seq read =
 
 let cursor_pos c = c.cbase
 let cursor_pending c = c.chi > c.clo
-let cursor_expected c = c.cexpected
-let cursor_next_seq c = Option.value c.cexpected ~default:1
-let cursor_corruption c = c.cstopped
 
 (* Make room to refill: slide live bytes to the front, doubling the
    buffer only when a single record outgrows it. *)
@@ -354,9 +351,6 @@ let tail_poll t =
       | exception Unix.Unix_error _ -> Wait)
 
 let tail_offset t = cursor_pos t.tcur
-let tail_pending t = cursor_pending t.tcur
-let tail_next_seq t = cursor_next_seq t.tcur
-let tail_expected t = cursor_expected t.tcur
 let tail_close t = try Unix.close t.tfd with Unix.Unix_error _ -> ()
 
 (* ---- appending ----------------------------------------------------- *)

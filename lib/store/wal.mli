@@ -126,16 +126,6 @@ val cursor_pos : _ cursor -> int
 (** Are undecoded bytes buffered past {!cursor_pos} (a partial line)? *)
 val cursor_pending : _ cursor -> bool
 
-(** The sequence number the next record must carry; [None] before the
-    first record when [next_seq] was not pinned. *)
-val cursor_expected : _ cursor -> int option
-
-(** {!cursor_expected}, defaulted to 1 — the [next_seq] a fresh writer
-    should use. *)
-val cursor_next_seq : _ cursor -> int
-
-val cursor_corruption : _ cursor -> corruption option
-
 (** {1 File tailing}
 
     A cursor over a growing log file — the replication shipping
@@ -169,9 +159,6 @@ val tail_poll : 'a tail -> 'a tail_step
 (** Byte offset of the shipped prefix (resume point for {!tail_open}). *)
 val tail_offset : _ tail -> int
 
-val tail_pending : _ tail -> bool
-val tail_next_seq : _ tail -> int
-val tail_expected : _ tail -> int option
 val tail_close : _ tail -> unit
 
 (** {1 Appending}

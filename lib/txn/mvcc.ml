@@ -183,38 +183,22 @@ let in_extent s ty st = Schema_index.subtype (index s) st.st_ty ty
 let extent s ty =
   over_delta s (Database.extent s.base ty) (fun _ st -> in_extent s ty st)
 
-(* Identity instances of a view over the snapshot, as [View.instances]
-   over [to_database s] computes them.  Selection predicates push down
-   to the [Base] leaves — filtering distributes over a generalization's
-   union — where the base's columnar blocks run them as one [Pred.scan]
-   and the delta's rows through [Pred.holds], inner predicates first
-   like the nested filters they replace. *)
-let instances s expr =
-  let rec go preds (e : View.expr) =
-    match e with
-    | Base n -> (
-        match preds with
-        | [] -> extent s n
-        | p :: rest ->
-            let p = List.fold_left (fun a b -> Pred.And (a, b)) p rest in
-            let test = Pred.holds p in
-            (* one reader closure over the row under test, not one per row *)
-            let row_oid = ref (Oid.of_int 0)
-            and row = ref { st_ty = n; st_slots = Attr_name.Map.empty } in
-            let get attr = slot !row_oid !row attr in
-            over_delta s (Pred.scan s.base n p) (fun oid st ->
-                row_oid := oid;
-                row := st;
-                in_extent s n st && test get))
-    | Project (e, _) -> go preds e
-    | Select (e, p) -> go (p :: preds) e
-    | Generalize (a, b) -> List.sort_uniq Oid.compare (go preds a @ go preds b)
-    | Join _ ->
-        Error.raise_
-          (Invariant_violation
-             "join views have no identity instances; use Join.materialize")
-  in
-  go [] expr
+(* Identity instances of a view over the snapshot: [View]'s walker with
+   a leaf that runs a filtered extent as one [Pred.scan] over the base's
+   columnar blocks plus [Pred.holds] over the delta's rows. *)
+let instances s =
+  View.instances_with ~leaf:(fun n -> function
+    | None -> extent s n
+    | Some p ->
+        let test = Pred.holds p in
+        (* one reader closure over the row under test, not one per row *)
+        let row_oid = ref (Oid.of_int 0)
+        and row = ref { st_ty = n; st_slots = Attr_name.Map.empty } in
+        let get attr = slot !row_oid !row attr in
+        over_delta s (Pred.scan s.base n p) (fun oid st ->
+            row_oid := oid;
+            row := st;
+            in_extent s n st && test get))
 
 (* ---- compaction ---------------------------------------------------- *)
 

@@ -80,12 +80,12 @@ val extent : snapshot -> Type_name.t -> Oid.t list
     read from the base's reverse index and the delta. *)
 val referrers : snapshot -> Oid.t -> (Oid.t * Attr_name.t) list
 
-(** Identity instances of a view expression over the snapshot, equal
-    (same OIDs, same order) to {!Tdp_algebra.View.instances} over
-    [to_database s].  A selection over a [Base] leaf runs as one
-    {!Tdp_algebra.Pred.scan} over the base's blocks plus a per-row test
-    of the delta's rows; projections pass through; a generalization is
-    the sorted union of its operands.
+(** Identity instances of a view expression over the snapshot:
+    {!Tdp_algebra.View.instances_with}, the walker
+    {!Tdp_algebra.View.instances} shares, with this store's leaf — a
+    filtered [Base] extent runs as one {!Tdp_algebra.Pred.scan} over the
+    base's blocks plus a per-row test of the delta's rows.  So it equals
+    (same OIDs, same order) [View.instances] over [to_database s].
     @raise Error.E on a [Join] view (no identity instances), and
     [Database.Store_error] when a predicate names an attribute an
     instance lacks. *)

@@ -231,6 +231,25 @@ let test_drop_after_optimize_undoes () =
     (printed Tdp_paper.Fig1.schema)
     (printed (Catalog.schema c))
 
+(* A base schema that already holds the surrogates of an earlier
+   projection: collapsing E_hat, which sits between the new view's
+   E_hat_hat and the base's B_hat, would leave B_hat inheriting from the
+   view's surrogate and the view undroppable. *)
+let test_optimize_keeps_step_neighbours () =
+  let c = Catalog.create (Tdp_paper.Fig3.project ()).schema in
+  let c, entry =
+    Catalog.define_exn c ~name:"V"
+      (View.Project (View.Base (ty "A"), List.map at [ "a2"; "e2" ]))
+  in
+  let optimized, removed = Catalog.optimize_exn c in
+  Alcotest.(check (list string)) "only the unrelated surrogate collapses"
+    [ "F_hat" ] (List.map Type_name.to_string removed);
+  let dropped = Catalog.drop_exn optimized ~name:"V" in
+  Alcotest.(check int) "no entries" 0 (List.length (Catalog.entries dropped));
+  Alcotest.(check string) "drop ≡ the steps fold"
+    (printed (Catalog.undo_steps_exn (Catalog.schema optimized) entry.steps))
+    (printed (Catalog.schema dropped))
+
 let synth_ddl =
   Synth.generate
     { Synth.default with
@@ -434,6 +453,8 @@ let suite =
       test_restore_returns_before;
     Alcotest.test_case "drop after optimize undoes" `Quick
       test_drop_after_optimize_undoes;
+    Alcotest.test_case "optimize keeps the neighbours of step types" `Quick
+      test_optimize_keeps_step_neighbours;
     Alcotest.test_case "evolution unwinds to the base schema" `Quick
       test_evolution_unwinds_to_base;
     Alcotest.test_case "restore ≡ undo over 1,000 Synth catalogs" `Slow

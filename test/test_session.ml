@@ -1,7 +1,8 @@
 (* The statement language: Session evaluation units, the print∘parse
-   round-trip for Stmt.t, and the differential test proving the three
-   frontends — Session directly, the repl, the server's [eval] verb —
-   produce the same outcomes for the same statements. *)
+   round-trip for Stmt.t, and the differential test proving the four
+   frontends — Session directly, the repl, the server's [eval] verb, a
+   Session without a one-pass extent evaluator — produce the same
+   outcomes for the same statements. *)
 
 module Ast = Tdp_lang.Ast
 module Stmt = Tdp_lang.Stmt
@@ -305,7 +306,7 @@ let prop_roundtrip =
           QCheck.Test.fail_reportf "%S failed to parse: %s" (Stmt.to_string s)
             (Fmt.str "%a" Tdp_core.Error.pp e))
 
-(* ---- three-frontend differential ------------------------------------ *)
+(* ---- four-frontend differential ------------------------------------- *)
 
 (* Each line is one parse unit in every frontend (the repl buffers per
    line; the server gets one [eval] per line), so a line may carry
@@ -323,7 +324,7 @@ let diff_stmts =
     "call age on Cheap;";
     "set #1 { pay_rate = 75.5 };";
     (* rejected writes: the served store validates through Database's
-       object rules, so all three frontends print the same message *)
+       object rules, so all four frontends print the same message *)
     "new Employee { foo = 1; bar = 2 };";
     "set #1 { nope = 1 };";
     "set #1 { ssn = \"x\" };";
@@ -404,10 +405,22 @@ let server_transcript () =
   | resp -> Alcotest.failf "commit refused: %s" resp);
   text
 
+(* Frontend D: the Session API over [s_instances = None], so every
+   extent runs [View.instances_with]'s per-object leaf. *)
+let fallback_transcript () =
+  let r = Lazy.force elab in
+  let db = Database.create r.Elaborate.schema in
+  let s = Session.create { (Session.database_ops db) with s_instances = None } in
+  String.concat "\n"
+    (List.concat_map
+       (fun line -> List.map Session.render (Session.eval_string s line))
+       diff_stmts)
+
 let test_differential () =
   let a = direct_transcript () in
   Alcotest.(check string) "repl = direct" (a ^ "\n") (repl_transcript ());
-  Alcotest.(check string) "served eval = direct" a (server_transcript ())
+  Alcotest.(check string) "served eval = direct" a (server_transcript ());
+  Alcotest.(check string) "per-object fallback = direct" a (fallback_transcript ())
 
 (* A mutating statement outside a transaction is a TDP055 diagnostic,
    not a protocol error: the eval session survives. *)

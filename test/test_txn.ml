@@ -356,7 +356,7 @@ let test_head_after_close () =
   Alcotest.check_raises "closed" (Database.Store_error "store is closed") (fun () ->
       ignore (Mvcc.head s ~branch:Mvcc.main_branch))
 
-(* ---- snapshot instances ≡ View.instances over the materialized store - *)
+(* ---- snapshot instances ≡ a per-object evaluator over a Database ---- *)
 
 module View = Tdp_algebra.View
 module Pred = Tdp_algebra.Pred
@@ -423,6 +423,12 @@ let view_gen =
               map2
                 (fun (a, ra) (b, rb) ->
                   (View.Generalize (a, b), List.filter (fun x -> List.mem x rb) ra))
+                sub sub );
+            (* no identity instances: every evaluator must fail alike *)
+            ( 1,
+              map2
+                (fun (a, ra) (b, rb) ->
+                  (View.Join (a, b), ra @ List.filter (fun x -> not (List.mem x ra)) rb))
                 sub sub )
           ]
     in
@@ -436,8 +442,12 @@ let view_gen =
    Employees (a subtype) and Teams (references), sets hit the
    predicated attributes, and the name "late" is only ever set — so a
    predicate on it finds no id in a base's string pool until a
-   compaction folds it in.  Every pinned head must still answer as it
-   did when it was published. *)
+   compaction folds it in.  Views are answered three ways: by
+   [Mvcc.instances] over the head, by [View.instances] over the
+   Database, and by [Instances_oracle], the per-object evaluator that
+   shares no code with [View.instances_with]; all three must agree.
+   Every pinned head must still answer as it did when it was
+   published. *)
 
 open Tdp_core
 
@@ -539,8 +549,9 @@ let check_against_oracle ~what snap db views =
     then fail "slots of #%d differ" k;
     if Mvcc.referrers snap o <> Database.referrers db o then fail "referrers of #%d differ" k
   done;
-  let got = answers views (Mvcc.instances snap) and want = answers views (View.instances db) in
-  if got <> want then fail "instances differ";
+  let want = answers views (Instances_oracle.instances db) in
+  if answers views (Mvcc.instances snap) <> want then fail "Mvcc.instances ≠ the oracle";
+  if answers views (View.instances db) <> want then fail "View.instances ≠ the oracle";
   true
 
 let prop_snapshot_oracle =
@@ -559,7 +570,8 @@ let prop_snapshot_oracle =
         ignore (commit_exn !txn);
         let snap = Mvcc.head store ~branch:Mvcc.main_branch in
         ignore (check_against_oracle ~what:"head" snap db views);
-        pinned := (snap, Dump.to_string db, answers views (View.instances db)) :: !pinned;
+        pinned :=
+          (snap, Dump.to_string db, answers views (Instances_oracle.instances db)) :: !pinned;
         txn := Mvcc.begin_ store
       in
       (* one op on both sides: the same verdict, and the same oid *)
