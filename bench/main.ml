@@ -22,7 +22,7 @@
                                              snapshot reads + catalog DDL
                                              (define, drop, define+drop
                                              over live views); FILE
-                                             defaults to BENCH_13.json,
+                                             defaults to BENCH_14.json,
                                              "-" = stdout)
         dune exec bench/main.exe -- bench --check FILE
                                             (re-measure in --small mode and
@@ -1277,6 +1277,55 @@ let table_s12 () =
   row3 "get_attr" (Fmt.str "%a" pp_time (p.mp_get_ns /. 1e9)) "";
   row3 "compaction" (Fmt.str "%a" pp_time (p.mp_compact_ns /. 1e9)) ""
 
+(* ------------------------------------------------------------------ *)
+(* S13: selection kernels, one Pred.scan per predicate shape          *)
+(* ------------------------------------------------------------------ *)
+
+(* [Pred.scan] runs each comparison atom as one typed loop over a
+   selection vector; these shapes cover an integer equality (one row
+   out), a float range (two float atoms under [And]) and [Or]/[Not]
+   over three column kinds.  Over S10's fixture: ssn = i,
+   pay_rate = 10 + i mod 7, date_of_birth = 1950 + i mod 60. *)
+type kernel_point = {
+  kp_n : int;
+  kp_int_eq_ns : float;  (* ssn == n/2 *)
+  kp_float_range_ns : float;  (* pay_rate >= 11.0 and pay_rate < 14.0 *)
+  kp_and_or_ns : float;  (* ssn < n/2 and (pay_rate == 10.0 or not dob < 1980) *)
+}
+
+let kernel_point n =
+  let _, db = columnar_fixture n in
+  let employee = ty "Employee" in
+  let open Tdp_algebra.Pred in
+  let c a op value = Cmp { attr = at a; op; value } in
+  let int_eq = c "ssn" Eq (Body.Int (n / 2)) in
+  let float_range =
+    And (c "pay_rate" Ge (Body.Float 11.0), c "pay_rate" Lt (Body.Float 14.0))
+  in
+  let and_or =
+    And
+      ( c "ssn" Lt (Body.Int (n / 2)),
+        Or (c "pay_rate" Eq (Body.Float 10.0), Not (c "date_of_birth" Lt (Body.Int 1980))) )
+  in
+  Gc.full_major ();
+  let t p = ns (time_it (fun () -> scan db employee p)) in
+  { kp_n = n;
+    kp_int_eq_ns = t int_eq;
+    kp_float_range_ns = t float_range;
+    kp_and_or_ns = t and_or
+  }
+
+(* 100k rows (20k under --small), as S12 *)
+let kernel_bench ~small = kernel_point (if small then 20_000 else 100_000)
+
+let table_s13 () =
+  section "S13: selection kernels (fig1 Employees, one Pred.scan)";
+  let p = kernel_bench ~small:false in
+  row3 "objects" (string_of_int p.kp_n) "";
+  row3 "ssn == n/2" (Fmt.str "%a" pp_time (p.kp_int_eq_ns /. 1e9)) "";
+  row3 "11.0 <= pay_rate < 14.0" (Fmt.str "%a" pp_time (p.kp_float_range_ns /. 1e9)) "";
+  row3 "and / or / not" (Fmt.str "%a" pp_time (p.kp_and_or_ns /. 1e9)) ""
+
 let table_s11 () =
   section "S11: replica catch-up and routed extents (fig1 Employees)";
   row3 "shipped creations" "catch-up per creation" "idle poll";
@@ -1487,6 +1536,7 @@ let json_report ~small =
      100k point, which every mode measures *)
   let c100k = List.find (fun p -> p.cp_n = 100_000) cols in
   let mp = mvcc_bench ~small in
+  let kp = kernel_bench ~small in
   (* the smallest sweep point is measured in every mode, so its entries
      carry stable names the --check regression gate can key on *)
   let p0 = List.hd sweep in
@@ -1527,7 +1577,10 @@ let json_report ~small =
       { name = "mvcc/instances/select-eq"; ns_per_op = mp.mp_eq_ns };
       { name = "mvcc/instances/select-range"; ns_per_op = mp.mp_range_ns };
       { name = "mvcc/get_attr"; ns_per_op = mp.mp_get_ns };
-      { name = "mvcc/compact"; ns_per_op = mp.mp_compact_ns }
+      { name = "mvcc/compact"; ns_per_op = mp.mp_compact_ns };
+      { name = "scan/pred/int-eq"; ns_per_op = kp.kp_int_eq_ns };
+      { name = "scan/pred/float-range"; ns_per_op = kp.kp_float_range_ns };
+      { name = "scan/pred/and-or"; ns_per_op = kp.kp_and_or_ns }
     ]
     @ List.map
         (fun (live, t) ->
@@ -1736,7 +1789,12 @@ let guarded_benchmarks =
     "mvcc/instances/select-eq";
     "mvcc/instances/select-range";
     "mvcc/get_attr";
-    "mvcc/compact"
+    "mvcc/compact";
+    (* selection kernels, one Pred.scan per predicate shape over 20k
+       rows; first in BENCH_14.json *)
+    "scan/pred/int-eq";
+    "scan/pred/float-range";
+    "scan/pred/and-or"
   ]
 let check_tolerance = 3.0
 
@@ -1846,7 +1904,7 @@ let () =
   let rec out_of = function
     | "--out" :: v :: _ -> v
     | _ :: rest -> out_of rest
-    | [] -> "BENCH_13.json"
+    | [] -> "BENCH_14.json"
   in
   let rec check_of = function
     | "--check" :: v :: _ -> Some v
@@ -1879,6 +1937,7 @@ let () =
     table_s10 ();
     table_s11 ();
     table_s12 ();
+    table_s13 ();
     Fmt.pr "@.done.@."
   end
   else begin

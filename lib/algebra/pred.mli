@@ -58,9 +58,14 @@ val eval : Tdp_store.Database.t -> Tdp_store.Oid.t -> t -> bool
 (** [scan db ty p] — the deep extent of [ty] filtered by [p], in OID
     order; equivalent to
     [List.filter (fun o -> eval db o p) (Database.extent db ty)] but
-    vectorized: each comparison atom compiles, per columnar block, to a
-    tight loop over the unboxed attribute column (interned-string id
-    equality, raw numeric compares) instead of a per-object [get_attr].
-    @raise Tdp_store.Database.Store_error on a missing attribute,
-    [Error.E Unknown_type] as {!Tdp_store.Database.extent}. *)
+    vectorized over selection vectors: each columnar block is walked in
+    chunks of rows, and each comparison atom is one typed loop over the
+    unboxed attribute column (interned-string id equality, raw numeric
+    compares) that keeps the rows of the incoming vector it holds of.
+    [And] passes the right side only the rows its left side kept, [Or]
+    only those its left side rejected, and [Not] keeps the complement,
+    so each row meets the atoms {!holds} would test, in its order.
+    @raise Tdp_store.Database.Store_error on a missing attribute — the
+    error of the first row, in block order, whose per-object test
+    raises — or [Error.E Unknown_type] as {!Tdp_store.Database.extent}. *)
 val scan : Tdp_store.Database.t -> Type_name.t -> t -> Tdp_store.Oid.t list

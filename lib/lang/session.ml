@@ -209,6 +209,10 @@ let rec view_str (v : View.expr) =
 
 let value_str = Value.to_string
 let oid_str oid = "#" ^ string_of_int (Oid.to_int oid)
+
+let add_oid b oid =
+  Buffer.add_char b '#';
+  Value.add_int b (Oid.to_int oid)
 let key_str k = Fmt.str "%a" Method_def.Key.pp k
 
 (* ------------------------------------------------------------------ *)
@@ -582,11 +586,11 @@ let render (o : outcome) : string =
          of rows per request *)
       let b = Buffer.create (128 * (List.length rows + 1)) in
       Buffer.add_string b "extent: ";
-      Buffer.add_string b (string_of_int (List.length rows));
+      Value.add_int b (List.length rows);
       List.iter
         (fun (oid, values) ->
           Buffer.add_char b '\n';
-          Buffer.add_string b (oid_str oid);
+          add_oid b oid;
           Buffer.add_string b " {";
           let sep = ref "" in
           List.iter2
@@ -609,7 +613,7 @@ let render (o : outcome) : string =
             if i > 0 then Buffer.add_char b '\n';
             Buffer.add_string b gf;
             Buffer.add_char b '(';
-            Buffer.add_string b (oid_str oid);
+            add_oid b oid;
             Buffer.add_string b ") = ";
             Value.add_to_buffer b v)
           results;

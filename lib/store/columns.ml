@@ -283,10 +283,15 @@ let write b ~row ~col (v : Value.t) =
 let copy ~pool b =
   { (resized b ~n:b.b_len (min b.b_cap (b.b_len + (b.b_len / 8) + 8))) with b_pool = pool }
 
-let iter_live b f =
-  for row = 0 to b.b_len - 1 do
-    if Bytes.get b.b_alive row = '\001' then f row
-  done
+let live_rows b ~lo ~hi rows =
+  let n = ref 0 in
+  for row = lo to hi - 1 do
+    if Bytes.get b.b_alive row = '\001' then begin
+      rows.(!n) <- row - lo;
+      incr n
+    end
+  done;
+  !n
 
 (* Live OIDs in ascending order — a plain copy when the block is still
    append-ordered, an explicit sort otherwise. *)

@@ -125,8 +125,10 @@ val read : t -> row:int -> col:int -> Value.t
     database validates before writing). *)
 val write : t -> row:int -> col:int -> Value.t -> unit
 
-(** Live rows, ascending row order. *)
-val iter_live : t -> (int -> unit) -> unit
+(** [live_rows b ~lo ~hi rows] writes the live rows of [\[lo, hi)], as
+    ascending offsets from [lo], to the front of [rows] and returns how
+    many: a selection vector over that range. *)
+val live_rows : t -> lo:int -> hi:int -> int array -> int
 
 (** Live OIDs in ascending OID order. *)
 val live_oids : t -> Oid.t list

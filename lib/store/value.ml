@@ -24,21 +24,67 @@ let equal a b =
    served extent would pay per value. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* [string_of_int] without [caml_format_int], which parses its format
+   on every call.  The digits are produced on the non-positive side,
+   where [min_int] has a magnitude. *)
+let add_int b i =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.chr (48 - (n mod 10)))
+  in
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    digits i
+  end
+  else digits (-i)
+
+(* Bytes [String.escaped] rewrites, marked nonzero by code. *)
+let escapes =
+  String.init 256 (fun i ->
+      let c = Char.chr i in
+      if c < ' ' || c > '~' || c = '"' || c = '\\' then '\001' else '\000')
+
+(* [String.escaped] in one pass: runs that need no escape are copied
+   whole, and nothing is built beside [b]. *)
+let add_escaped b s =
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    (* in bounds: [i] by the loop, a char's code below 256 *)
+    let c = String.unsafe_get s i in
+    if String.unsafe_get escapes (Char.code c) <> '\000' then begin
+      Buffer.add_substring b s !from (i - !from);
+      from := i + 1;
+      Buffer.add_char b '\\';
+      match c with
+      | '\n' -> Buffer.add_char b 'n'
+      | '\t' -> Buffer.add_char b 't'
+      | '\r' -> Buffer.add_char b 'r'
+      | '\b' -> Buffer.add_char b 'b'
+      | '"' | '\\' -> Buffer.add_char b c
+      | c ->
+          let a = Char.code c in
+          Buffer.add_char b (Char.chr (48 + (a / 100)));
+          Buffer.add_char b (Char.chr (48 + (a / 10 mod 10)));
+          Buffer.add_char b (Char.chr (48 + (a mod 10)))
+    end
+  done;
+  Buffer.add_substring b s !from (String.length s - !from)
+
 let add_to_buffer b = function
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> add_int b i
   | Float f -> Buffer.add_string b (format_float "%.6g" f)
   | String s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (String.escaped s);
+      add_escaped b s;
       Buffer.add_char b '"'
   | Bool b' -> Buffer.add_string b (string_of_bool b')
   | Date y ->
       Buffer.add_string b "year(";
-      Buffer.add_string b (string_of_int y);
+      add_int b y;
       Buffer.add_char b ')'
   | Ref o ->
       Buffer.add_char b '#';
-      Buffer.add_string b (string_of_int (Oid.to_int o))
+      add_int b (Oid.to_int o)
   | Null -> Buffer.add_string b "null"
 
 let to_string v =

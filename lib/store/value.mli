@@ -20,6 +20,12 @@ val to_string : t -> string
 (** {!to_string} appended to a buffer. *)
 val add_to_buffer : Buffer.t -> t -> unit
 
+(** [add_int b i] appends [string_of_int i] to [b]. *)
+val add_int : Buffer.t -> int -> unit
+
+(** [add_escaped b s] appends [String.escaped s] to [b]. *)
+val add_escaped : Buffer.t -> string -> unit
+
 val pp : t Fmt.t
 
 (** Literal of a method body as a runtime value. *)

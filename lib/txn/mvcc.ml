@@ -57,7 +57,7 @@ module String_map = Map.Make (String)
    lock): a delta ([Oid.Map]/[Attr_name.Map]) is immutable.  A base is
    written only before any snapshot holds it — by the compaction that
    builds it, or by recovery before it publishes — so readers' hash
-   lookups, block reads and [Pred.compile_cmp]'s [Pool.find] on its
+   lookups, block reads and [Pred.scan]'s [Pool.find] on its
    string pool race with no writer.  Compaction reads the old base
    only.  Indexes come from [Schema_index.compile] or the base
    database's own; Mvcc never touches the shared [of_hierarchy] intern

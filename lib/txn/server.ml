@@ -265,6 +265,15 @@ let refuse_verb (req : request) =
   | Branch _ | Seq | Lag | Eval _ | Quit ->
       None
 
+(* [Fmt.str "ok %S"] in one buffer: a served extent is escaped once,
+   straight behind its prefix, and copied out once *)
+let quote_reply ~failed text =
+  let b = Buffer.create (String.length text + (String.length text / 8) + 8) in
+  Buffer.add_string b (if failed then "err \"" else "ok \"");
+  Value.add_escaped b text;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
 (* One request -> one response line (no trailing newline).  [Quit] is
    handled by the caller; every path here keeps the session alive. *)
 let respond s (req : request) =
@@ -358,12 +367,7 @@ let respond s (req : request) =
         | [ o ] -> Tdp_lang.Session.render o
         | os -> String.concat "\n" (List.map Tdp_lang.Session.render os)
       in
-      (* [Fmt.str "ok %S"] would copy a served extent several times *)
-      String.concat ""
-        [ (if List.exists Tdp_lang.Session.failed outcomes then "err \"" else "ok \"");
-          String.escaped text;
-          "\""
-        ]
+      quote_reply ~failed:(List.exists Tdp_lang.Session.failed outcomes) text
 
 (* Total: every failure of a single request becomes an [err] line. *)
 let handle_line s line =

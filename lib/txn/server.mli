@@ -117,6 +117,11 @@ val session : ?mode:mode -> store:Mvcc.t -> unit -> session
     [err "…"] response line. *)
 val handle_line : session -> string -> string
 
+(** The [eval] response line for a transcript: [ok "TEXT"], or
+    [err "TEXT"] when [failed], TEXT escaped as [String.escaped]
+    escapes it. *)
+val quote_reply : failed:bool -> string -> string
+
 (** {1 Generic listener}
 
     The accept/serve machinery above, decoupled from the store grammar

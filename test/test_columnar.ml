@@ -19,6 +19,7 @@ module Database = Tdp_store.Database
 module Dump = Tdp_store.Dump
 module Oid = Tdp_store.Oid
 module Value = Tdp_store.Value
+module Columns = Tdp_store.Columns
 module Pred = Tdp_algebra.Pred
 module View = Tdp_algebra.View
 module Matview = Tdp_algebra.Matview
@@ -219,7 +220,7 @@ let type_gen =
         (2, return "Employee_hat"); (1, return "Nope")
       ])
 
-let gop_gen =
+let gop_gen_with value_gen =
   QCheck.Gen.(
     frequency
       [ ( 5,
@@ -239,6 +240,7 @@ let gop_gen =
         (1, return GEvolve)
       ])
 
+let gop_gen = gop_gen_with value_gen
 let ops_gen = QCheck.Gen.(list_size (int_range 1 40) gop_gen)
 
 let ops_arbitrary =
@@ -414,20 +416,14 @@ let prop_differential =
 
 (* Pred.scan must agree with per-object eval on every generated store,
    across value kinds, nulls, deleted rows and free-list reuse. *)
-let pred_gen =
+let pred_gen_with literal_gen =
   QCheck.Gen.(
     let atom =
       map3
         (fun a op v -> Pred.Cmp { attr = at a; op; value = v })
         (oneofl [ "ssn"; "name"; "pay_rate"; "date_of_birth"; "hrs_worked" ])
         (oneofl Pred.[ Eq; Ne; Lt; Le; Gt; Ge ])
-        (frequency
-           [ (3, map (fun i -> Body.Int i) (int_range (-5) 100));
-             (2, map (fun f -> Body.Float f) (oneofl [ 0.0; 1.5; 50.0 ]));
-             (2, map (fun s -> Body.String s) (oneofl [ "a"; "bob"; "zzz" ]));
-             (1, map (fun b -> Body.Bool b) bool);
-             (1, return Body.Null)
-           ])
+        literal_gen
     in
     let rec node depth =
       if depth = 0 then atom
@@ -442,8 +438,113 @@ let pred_gen =
     in
     node 2)
 
-let prop_scan_equiv =
-  QCheck.Test.make ~name:"Pred.scan ≡ filter eval over extent" ~count:300
+let pred_gen =
+  pred_gen_with
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun i -> Body.Int i) (int_range (-5) 100));
+          (2, map (fun f -> Body.Float f) (oneofl [ 0.0; 1.5; 50.0 ]));
+          (2, map (fun s -> Body.String s) (oneofl [ "a"; "bob"; "zzz" ]));
+          (1, map (fun b -> Body.Bool b) bool);
+          (1, return Body.Null)
+        ])
+
+(* Integers around 2^53, where [float_of_int] rounds (2^53 + 1 orders
+   equal to 2^53), and the floats the total order treats specially:
+   NaN (below every number, equal to itself), -0.0 (equal to 0.0) and
+   the infinities.  Stored and as literals, so ordering and equality
+   meet them on both sides. *)
+let wide_ints =
+  let p53 = 1 lsl 53 in
+  [ p53 - 1; p53; p53 + 1; p53 + 2; -p53; -p53 - 1; max_int; min_int; 0; 1; -1 ]
+
+let wide_floats =
+  [ Float.nan; -0.0; 0.0; 1.5; Float.infinity; Float.neg_infinity;
+    9007199254740992.0; 9007199254740994.0; -9007199254740992.0
+  ]
+
+let wide_value_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun i -> Value.Int i) (oneofl wide_ints));
+        (3, map (fun f -> Value.Float f) (oneofl wide_floats));
+        (2, map (fun y -> Value.Date y) (oneofl wide_ints));
+        (1, value_gen)
+      ])
+
+(* mostly Employees, so the numeric columns every atom may name are
+   present and hold the wide values *)
+let wide_ops_gen =
+  QCheck.Gen.(
+    let field name gen = opt (map (fun v -> (name, v)) gen) in
+    let employee =
+      map
+        (fun fields -> GNew ("Employee", List.filter_map Fun.id fields))
+        (flatten_l
+           [ field "ssn" (map (fun i -> Value.Int i) (oneofl wide_ints));
+             field "date_of_birth" (map (fun y -> Value.Date y) (oneofl wide_ints));
+             field "pay_rate" (map (fun f -> Value.Float f) (oneofl wide_floats));
+             field "hrs_worked" (map (fun f -> Value.Float f) (oneofl wide_floats))
+           ])
+    in
+    list_size (int_range 1 40)
+      (frequency [ (4, employee); (1, gop_gen_with wide_value_gen) ]))
+
+let wide_pred_gen =
+  pred_gen_with
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun i -> Body.Int i) (oneofl wide_ints));
+          (3, map (fun f -> Body.Float f) (oneofl wide_floats));
+          (* NaN degenerates every ordering: give it its own weight *)
+          (2, return (Body.Float Float.nan));
+          (1, map (fun s -> Body.String s) (oneofl [ "a"; "bob" ]));
+          (1, map (fun b -> Body.Bool b) bool);
+          (1, return Body.Null)
+        ])
+
+(* What a scan of [t] must raise: the message of the first row, blocks
+   in [scan_blocks] order and rows ascending, whose per-object test
+   raises. *)
+let first_failure db t p =
+  List.find_map
+    (fun (b : Columns.t) ->
+      let rec row r =
+        if r >= Columns.length b then None
+        else if Bytes.get b.b_alive r = '\000' then row (r + 1)
+        else
+          match Pred.eval db (Columns.oid_at b r) p with
+          | _ -> row (r + 1)
+          | exception Database.Store_error m -> Some m
+      in
+      row 0)
+    (Database.scan_blocks db (ty t))
+
+(* [Pred.scan db t p] must be the extent of [t] filtered by [Pred.eval],
+   or raise what the first failing row raises. *)
+let check_scan db t p =
+  let scanned =
+    try Ok (Pred.scan db (ty t) p |> List.map Oid.to_int)
+    with Database.Store_error m -> Error m
+  in
+  let filtered =
+    try
+      Ok
+        (Database.extent db (ty t)
+        |> List.filter (fun oid -> Pred.eval db oid p)
+        |> List.map Oid.to_int)
+    with Database.Store_error _ -> Error ()
+  in
+  match (scanned, filtered) with
+  | Ok a, Ok b -> Alcotest.(check (list int)) (Fmt.str "scan %s" t) b a
+  | Error m, Error () ->
+      Alcotest.(check (option string))
+        (Fmt.str "scan %s raises for the first failing row" t)
+        (first_failure db t p) (Some m)
+  | _ -> Alcotest.failf "scan/eval error disagreement on %s" t
+
+let scan_equiv ~name ~count ops_gen pred_gen =
+  QCheck.Test.make ~name ~count
     (QCheck.make
        QCheck.Gen.(pair ops_gen pred_gen)
        ~print:(fun (ops, p) ->
@@ -452,27 +553,16 @@ let prop_scan_equiv =
       let db = Database.create base_schema in
       let o = Oracle.create base_schema in
       List.iter (fun op -> apply_pair db o op) ops;
-      List.iter
-        (fun t ->
-          let scanned =
-            try Ok (Pred.scan db (ty t) p |> List.map Oid.to_int)
-            with Database.Store_error _ -> Error ()
-          in
-          let filtered =
-            try
-              Ok
-                (Database.extent db (ty t)
-                |> List.filter (fun oid -> Pred.eval db oid p)
-                |> List.map Oid.to_int)
-            with Database.Store_error _ -> Error ()
-          in
-          match (scanned, filtered) with
-          | Ok a, Ok b ->
-              Alcotest.(check (list int)) (Fmt.str "scan %s" t) b a
-          | Error (), Error () -> ()
-          | _ -> Alcotest.failf "scan/eval error disagreement on %s" t)
-        [ "Person"; "Employee"; "Team" ];
+      List.iter (fun t -> check_scan db t p) [ "Person"; "Employee"; "Team" ];
       true)
+
+let prop_scan_equiv =
+  scan_equiv ~name:"Pred.scan ≡ filter eval over extent" ~count:300 ops_gen pred_gen
+
+let prop_scan_equiv_wide =
+  scan_equiv ~name:"Pred.scan ≡ filter eval: NaN, -0.0 and integers beyond 2^53"
+    ~count:1000
+    wide_ops_gen wide_pred_gen
 
 (* ---- unit tests: block mechanics ------------------------------------ *)
 
@@ -678,11 +768,72 @@ let test_reserve () =
   done;
   Alcotest.(check int) "all present after reserve" 50 (Database.count db)
 
+(* Blocks longer than one selection vector (256 rows), which the
+   generated stores above never reach: several chunks, dead rows,
+   free-list reuse (an Employee block out of OID order), a failing row
+   past the first chunk, and an untyped (boxed) column. *)
+let test_scan_chunks () =
+  let tagged =
+    Type_def.make ~attrs:[ Attribute.make (at "tag") Value_type.Unknown ] (ty "Tagged")
+  in
+  let db = Database.create (Schema.add_type base_schema tagged) in
+  let p53 = 1 lsl 53 in
+  let floats = [| 0.0; -0.0; 1.5; Float.nan; 50.0 |] in
+  let employee i =
+    Database.new_object db (ty "Employee")
+      ~init:
+        [ (at "ssn", Value.Int (if i mod 11 = 0 then p53 + i else i));
+          (at "pay_rate", if i mod 9 = 0 then Value.Null else Value.Float floats.(i mod 5));
+          (at "name", Value.String (if i mod 2 = 0 then "a" else "bob"))
+        ]
+  in
+  let emps = List.init 1000 employee in
+  List.iteri (fun i o -> if i mod 7 = 3 then Database.delete db o) emps;
+  for i = 1000 to 1049 do
+    ignore (employee i)
+  done;
+  for i = 0 to 599 do
+    ignore (mk_person db i)
+  done;
+  let tags =
+    Value.[| Int 1; Float Float.nan; String "a"; Date 1990; Null; Float 1.0; Int p53 |]
+  in
+  for i = 0 to 599 do
+    ignore (Database.new_object db (ty "Tagged") ~init:[ (at "tag", tags.(i mod 7)) ])
+  done;
+  let c a op v = Pred.Cmp { attr = at a; op; value = v } in
+  let ops = Pred.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let lits =
+    Body.[ Int 1; Int p53; Float Float.nan; Float (-0.0); Float 1.5; String "a"; Null ]
+  in
+  let atoms =
+    List.concat_map
+      (fun a -> List.concat_map (fun op -> List.map (c a op) lits) ops)
+      [ "ssn"; "pay_rate"; "tag" ]
+  in
+  let shapes =
+    Pred.
+      [ And
+          ( c "ssn" Gt (Body.Int 100),
+            Or (c "pay_rate" Eq (Body.Float 1.5), Not (c "name" Eq (Body.String "a"))) );
+        Or (Not (c "pay_rate" Ge (Body.Float 0.0)), c "ssn" Le (Body.Int 10));
+        (* Person rows reach [pay_rate] from ssn 300 on, in the second chunk *)
+        Or (c "ssn" Lt (Body.Int 300), c "pay_rate" Lt (Body.Float 1.0));
+        And (c "ssn" Ge (Body.Int 450), Not (c "pay_rate" Gt (Body.Float Float.nan)));
+        Not (Or (c "tag" Eq Body.Null, c "tag" Lt (Body.Float 1.5)));
+        True
+      ]
+  in
+  List.iter
+    (fun p -> List.iter (fun t -> check_scan db t p) [ "Person"; "Employee"; "Tagged" ])
+    (atoms @ shapes)
+
 let () =
   Alcotest.run "columnar"
     [ ( "differential",
         [ QCheck_alcotest.to_alcotest prop_differential;
-          QCheck_alcotest.to_alcotest prop_scan_equiv
+          QCheck_alcotest.to_alcotest prop_scan_equiv;
+          QCheck_alcotest.to_alcotest prop_scan_equiv_wide
         ] );
       ( "blocks",
         [ Alcotest.test_case "free-list reuse" `Quick test_free_list_reuse;
@@ -695,6 +846,8 @@ let () =
           Alcotest.test_case "matview dirty-row skip" `Quick test_matview_dirty_skip;
           Alcotest.test_case "all unknown init attrs reported" `Quick
             test_build_row_reports_all_unknown_attrs;
-          Alcotest.test_case "reserve" `Quick test_reserve
+          Alcotest.test_case "reserve" `Quick test_reserve;
+          Alcotest.test_case "scans across chunks and untyped columns" `Quick
+            test_scan_chunks
         ] )
     ]

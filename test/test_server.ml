@@ -445,6 +445,28 @@ let test_stop_with_idle_client () =
   Thread.join stopper;
   Alcotest.(check bool) "stop returned within 2 s" true in_time
 
+(* The [eval] response is built in one buffer; it must be byte for
+   byte what [String.concat] over [String.escaped] gave. *)
+let reference_reply ~failed text =
+  String.concat "" [ (if failed then "err \"" else "ok \""); String.escaped text; "\"" ]
+
+let test_quote_reply_bytes () =
+  let all = String.init 256 Char.chr in
+  List.iter
+    (fun text ->
+      List.iter
+        (fun failed ->
+          Alcotest.(check string) (String.escaped text)
+            (reference_reply ~failed text) (Server.quote_reply ~failed text))
+        [ false; true ])
+    ("" :: all :: (all ^ all) :: List.init 256 (fun c -> String.make 1 (Char.chr c)))
+
+let prop_quote_reply =
+  QCheck.Test.make ~name:"quote_reply = ok/err + String.escaped" ~count:1000
+    QCheck.(pair bool (string_gen_of_size Gen.(0 -- 300) Gen.char))
+    (fun (failed, text) ->
+      String.equal (Server.quote_reply ~failed text) (reference_reply ~failed text))
+
 let suite =
   [ Alcotest.test_case "protocol unit" `Quick test_protocol_unit;
     Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
@@ -462,7 +484,9 @@ let suite =
       test_disconnect_mid_response;
     Alcotest.test_case "served method calls" `Quick test_served_calls;
     Alcotest.test_case "stop with an idle client connected" `Quick
-      test_stop_with_idle_client
+      test_stop_with_idle_client;
+    Alcotest.test_case "quote_reply over every byte" `Quick test_quote_reply_bytes;
+    QCheck_alcotest.to_alcotest prop_quote_reply
   ]
 
 let () = Alcotest.run "server" [ ("server", suite) ]

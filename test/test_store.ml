@@ -357,6 +357,23 @@ view Transcript = project Student on [pid, gpa, credits];
   | exception Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "cost must not apply to the view type"
 
+(* The digit writer behind every printed integer must be
+   [string_of_int], at the extremes and anywhere between. *)
+let int_text i =
+  let b = Buffer.create 24 in
+  Value.add_int b i;
+  Buffer.contents b
+
+let test_add_int_extremes () =
+  List.iter
+    (fun i -> Alcotest.(check string) (string_of_int i) (string_of_int i) (int_text i))
+    [ min_int; min_int + 1; max_int; 0; 1; -1; 9; 10; -9; -10; 99; 100 ]
+
+let prop_add_int =
+  QCheck.Test.make ~name:"Value.add_int = string_of_int" ~count:2000
+    QCheck.(oneof [ int; small_signed_int ])
+    (fun i -> String.equal (int_text i) (string_of_int i))
+
 let suite =
   [ Alcotest.test_case "new object and slots" `Quick test_new_object_and_slots;
     Alcotest.test_case "DSL end-to-end (multi-inheritance)" `Quick
@@ -377,7 +394,9 @@ let suite =
     Alcotest.test_case "view extents + native instances" `Quick
       test_view_extent_and_native_instances;
     Alcotest.test_case "reference attributes" `Quick test_reference_attributes;
-    Alcotest.test_case "builtin arithmetic" `Quick test_builtin_arithmetic
+    Alcotest.test_case "builtin arithmetic" `Quick test_builtin_arithmetic;
+    Alcotest.test_case "add_int at the extremes" `Quick test_add_int_extremes;
+    QCheck_alcotest.to_alcotest prop_add_int
   ]
 
 let () = Alcotest.run "store" [ ("store", suite) ]
