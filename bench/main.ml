@@ -19,10 +19,11 @@
                                              store sweep + replica/router
                                              throughput + the statement
                                              language's eval path + MVCC
-                                             snapshot reads + catalog DDL
+                                             snapshot reads + served
+                                             extent replies + catalog DDL
                                              (define, drop, define+drop
                                              over live views); FILE
-                                             defaults to BENCH_14.json,
+                                             defaults to BENCH_15.json,
                                              "-" = stdout)
         dune exec bench/main.exe -- bench --check FILE
                                             (re-measure in --small mode and
@@ -1326,6 +1327,86 @@ let table_s13 () =
   row3 "11.0 <= pay_rate < 14.0" (Fmt.str "%a" pp_time (p.kp_float_range_ns /. 1e9)) "";
   row3 "and / or / not" (Fmt.str "%a" pp_time (p.kp_and_or_ns /. 1e9)) ""
 
+(* ------------------------------------------------------------------ *)
+(* S14: served extent replies, rendered straight into the reply         *)
+(* ------------------------------------------------------------------ *)
+
+(* A served [:extent] of 500 rows, as loadbench's scan-eval sends it:
+   [n] named fig1 Employees, every (n/500)-th paid below 1.0, in an
+   in-memory store behind one server session.  Beside the time, the
+   words one request allocates ([Gc.counters] deltas, averaged). *)
+type reply_point = {
+  rp_n : int;
+  rp_scan_ns : float;  (* Server.handle_line of the 500-row scan *)
+  rp_minor_words : float;  (* per request *)
+  rp_major_words : float;  (* per request, promoted words included *)
+  rp_float_ns : float;  (* Value.add_to_buffer of one float, over 1,000 *)
+}
+
+let reply_rows = 500
+
+let reply_point n =
+  let employee = ty "Employee" in
+  let db = Tdp_store.Database.create (Fig1.project ()).schema in
+  Tdp_store.Database.reserve db n;
+  let step = n / reply_rows in
+  for i = 0 to n - 1 do
+    let pay =
+      if i mod step = 0 then 0.25 *. float_of_int (1 + (i / step mod 3))
+      else 10.0 +. (float_of_int (i * 7919 mod 9000) /. 100.0)
+    in
+    ignore
+      (Tdp_store.Database.new_object db employee
+         ~init:
+           [ (at "ssn", Tdp_store.Value.Int i);
+             (at "name", Tdp_store.Value.String (Fmt.str "e%06d" i));
+             (at "date_of_birth", Tdp_store.Value.Date (1950 + (i mod 60)));
+             (at "pay_rate", Tdp_store.Value.Float pay);
+             (at "hrs_worked", Tdp_store.Value.Float 40.0)
+           ])
+  done;
+  let session = Tdp_txn.Server.session ~store:(Mvcc.of_database db) () in
+  let line = "eval \":extent select Employee where pay_rate < 1.0\"" in
+  let request () = Tdp_txn.Server.handle_line session line in
+  let head = Fmt.str "ok \"extent: %d\\n#" reply_rows in
+  assert (String.sub (request ()) 0 (String.length head) = head);
+  let reps = 200 in
+  let minor0, _, major0 = Gc.counters () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (request ()))
+  done;
+  let minor1, _, major1 = Gc.counters () in
+  let floats =
+    Array.init 1_000 (fun i ->
+        Tdp_store.Value.Float
+          (if i mod 4 = 0 then 0.25 *. float_of_int (1 + (i mod 3))
+           else 10.0 +. (float_of_int (i * 7919 mod 9000) /. 100.0)))
+  in
+  let b = Buffer.create 16_384 in
+  let t_floats =
+    time_it (fun () ->
+        Buffer.clear b;
+        Array.iter (Tdp_store.Value.add_to_buffer b) floats)
+  in
+  { rp_n = n;
+    rp_scan_ns = ns (time_it request);
+    rp_minor_words = (minor1 -. minor0) /. float_of_int reps;
+    rp_major_words = (major1 -. major0) /. float_of_int reps;
+    rp_float_ns = ns t_floats /. float_of_int (Array.length floats)
+  }
+
+(* 100k rows (20k under --small), as S12 *)
+let reply_bench ~small = reply_point (if small then 20_000 else 100_000)
+
+let table_s14 () =
+  section "S14: served extent replies (fig1 Employees, one server session)";
+  let p = reply_bench ~small:false in
+  row3 "objects" (string_of_int p.rp_n) "";
+  row3 "500-row :extent"
+    (Fmt.str "%a" pp_time (p.rp_scan_ns /. 1e9))
+    (Fmt.str "%.0f minor / %.0f major words" p.rp_minor_words p.rp_major_words);
+  row3 "one float, %.6g" (Fmt.str "%a" pp_time (p.rp_float_ns /. 1e9)) ""
+
 let table_s11 () =
   section "S11: replica catch-up and routed extents (fig1 Employees)";
   row3 "shipped creations" "catch-up per creation" "idle poll";
@@ -1537,6 +1618,7 @@ let json_report ~small =
   let c100k = List.find (fun p -> p.cp_n = 100_000) cols in
   let mp = mvcc_bench ~small in
   let kp = kernel_bench ~small in
+  let rp = reply_bench ~small in
   (* the smallest sweep point is measured in every mode, so its entries
      carry stable names the --check regression gate can key on *)
   let p0 = List.hd sweep in
@@ -1580,7 +1662,9 @@ let json_report ~small =
       { name = "mvcc/compact"; ns_per_op = mp.mp_compact_ns };
       { name = "scan/pred/int-eq"; ns_per_op = kp.kp_int_eq_ns };
       { name = "scan/pred/float-range"; ns_per_op = kp.kp_float_range_ns };
-      { name = "scan/pred/and-or"; ns_per_op = kp.kp_and_or_ns }
+      { name = "scan/pred/and-or"; ns_per_op = kp.kp_and_or_ns };
+      { name = Fmt.str "server/eval/extent-rows=%d" reply_rows; ns_per_op = rp.rp_scan_ns };
+      { name = "value/render/float"; ns_per_op = rp.rp_float_ns }
     ]
     @ List.map
         (fun (live, t) ->
@@ -1794,7 +1878,11 @@ let guarded_benchmarks =
        rows; first in BENCH_14.json *)
     "scan/pred/int-eq";
     "scan/pred/float-range";
-    "scan/pred/and-or"
+    "scan/pred/and-or";
+    (* a served 500-row extent reply and one float's text; first in
+       BENCH_15.json *)
+    "server/eval/extent-rows=500";
+    "value/render/float"
   ]
 let check_tolerance = 3.0
 
@@ -1904,7 +1992,7 @@ let () =
   let rec out_of = function
     | "--out" :: v :: _ -> v
     | _ :: rest -> out_of rest
-    | [] -> "BENCH_14.json"
+    | [] -> "BENCH_15.json"
   in
   let rec check_of = function
     | "--check" :: v :: _ -> Some v
@@ -1938,6 +2026,7 @@ let () =
     table_s11 ();
     table_s12 ();
     table_s13 ();
+    table_s14 ();
     Fmt.pr "@.done.@."
   end
   else begin

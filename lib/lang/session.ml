@@ -574,123 +574,148 @@ let summary_line schema =
     (List.length (Schema.gfs schema))
     (List.length (Schema.all_methods schema))
 
-let render (o : outcome) : string =
+type sink = Plain | Escaped
+
+(* Text through the sink: as is, or as [String.escaped] makes it. *)
+let add_text sink b s =
+  match sink with
+  | Plain -> Buffer.add_string b s
+  | Escaped -> Value.add_escaped b s
+
+let add_newline sink b =
+  Buffer.add_string b (match sink with Plain -> "\n" | Escaped -> "\\n")
+
+let add_value sink b v =
+  match sink with
+  | Plain -> Value.add_to_buffer b v
+  | Escaped -> Value.add_escaped_to_buffer b v
+
+(* Rows are written straight into [b]: a served scan renders hundreds
+   of them per request, and its reply is their escaped text.  Every
+   other outcome is one short text. *)
+let render_to sink b (o : outcome) =
   match o with
-  | Bound { var; expr } -> Fmt.str "let %s = %s" var (view_str expr)
-  | Defined { name; expr; _ } -> Fmt.str "view %s = %s" name (view_str expr)
-  | Dropped name -> Fmt.str "dropped view %s" name
-  | Shown expr -> view_str expr
-  | Typed p -> Fmt.str "%a" Infer.pp_principal p
   | Extent { attrs; rows; _ } ->
-      (* one buffer for the whole text: a served scan renders hundreds
-         of rows per request *)
-      let b = Buffer.create (128 * (List.length rows + 1)) in
       Buffer.add_string b "extent: ";
       Value.add_int b (List.length rows);
+      let rec add_slots sep attrs values =
+        match (attrs, values) with
+        | a :: attrs, v :: values ->
+            Buffer.add_string b sep;
+            add_text sink b (Attr_name.to_string a);
+            Buffer.add_string b " = ";
+            add_value sink b v;
+            add_slots "; " attrs values
+        | [], [] -> ()
+        | _ -> invalid_arg "Session.render_to: a row and its attributes differ"
+      in
       List.iter
         (fun (oid, values) ->
-          Buffer.add_char b '\n';
+          add_newline sink b;
           add_oid b oid;
           Buffer.add_string b " {";
-          let sep = ref "" in
-          List.iter2
-            (fun a v ->
-              Buffer.add_string b !sep;
-              sep := "; ";
-              Buffer.add_string b (Attr_name.to_string a);
-              Buffer.add_string b " = ";
-              Value.add_to_buffer b v)
-            attrs values;
+          add_slots "" attrs values;
           Buffer.add_char b '}')
-        rows;
-      Buffer.contents b
+        rows
+  | Called { results = []; _ } -> add_text sink b "no instances"
   | Called { gf; results } ->
-      if results = [] then "no instances"
-      else begin
-        let b = Buffer.create 256 in
-        List.iteri
-          (fun i (oid, v) ->
-            if i > 0 then Buffer.add_char b '\n';
-            Buffer.add_string b gf;
-            Buffer.add_char b '(';
-            add_oid b oid;
-            Buffer.add_string b ") = ";
-            Value.add_to_buffer b v)
-          results;
-        Buffer.contents b
-      end
+      List.iteri
+        (fun i (oid, v) ->
+          if i > 0 then add_newline sink b;
+          add_text sink b gf;
+          Buffer.add_char b '(';
+          add_oid b oid;
+          Buffer.add_string b ") = ";
+          add_value sink b v)
+        results
+  | Bound { var; expr } ->
+      add_text sink b (Fmt.str "let %s = %s" var (view_str expr))
+  | Defined { name; expr; _ } ->
+      add_text sink b (Fmt.str "view %s = %s" name (view_str expr))
+  | Dropped name -> add_text sink b (Fmt.str "dropped view %s" name)
+  | Shown expr -> add_text sink b (view_str expr)
+  | Typed p -> add_text sink b (Fmt.str "%a" Infer.pp_principal p)
   | Created { oid; ty } ->
-      Fmt.str "created %s : %a" (oid_str oid) Type_name.pp ty
+      add_text sink b (Fmt.str "created %s : %a" (oid_str oid) Type_name.pp ty)
   | Updated { oid; attrs } ->
-      Fmt.str "updated %s (%s)" (oid_str oid)
-        (String.concat ", " (List.map Attr_name.to_string attrs))
-  | Deleted oid -> Fmt.str "deleted %s" (oid_str oid)
+      add_text sink b
+        (Fmt.str "updated %s (%s)" (oid_str oid)
+           (String.concat ", " (List.map Attr_name.to_string attrs)))
+  | Deleted oid -> add_text sink b (Fmt.str "deleted %s" (oid_str oid))
+  | Views { defined = []; bound = [] } -> add_text sink b "no views"
   | Views { defined; bound } ->
-      if defined = [] && bound = [] then "no views"
-      else
-        String.concat "\n"
-          (List.map
-             (fun (n, e) -> Fmt.str "view %s = %s" n (view_str e))
-             defined
-          @ List.map
-              (fun (n, e) -> Fmt.str "let %s = %s" n (view_str e))
-              bound)
+      add_text sink b
+        (String.concat "\n"
+           (List.map
+              (fun (n, e) -> Fmt.str "view %s = %s" n (view_str e))
+              defined
+           @ List.map
+               (fun (n, e) -> Fmt.str "let %s = %s" n (view_str e))
+               bound))
   | Schema_info { types; surrogates; gfs; methods; type_names } ->
-      Fmt.str
-        "types: %d (%d surrogates)  generic functions: %d  methods: %d\n%s"
-        types surrogates gfs methods
-        (String.concat ", " (List.map Type_name.to_string type_names))
-  | Checked { schema; views; issues; file } -> (
-      match issues with
-      | [] ->
-          String.concat "\n"
-            (summary_line schema
-             :: List.map
-                  (fun (name, expr) ->
-                    Fmt.str "view %s = %s" name (view_str expr))
-                  views
-            @ [ "ok." ])
-      | issues ->
-          String.concat "\n"
-            (List.map
-               (fun i ->
-                 Fmt.str "error: %s%s" i
-                   (match file with None -> "" | Some f -> Fmt.str " (%s)" f))
-               issues))
+      add_text sink b
+        (Fmt.str
+           "types: %d (%d surrogates)  generic functions: %d  methods: %d\n%s"
+           types surrogates gfs methods
+           (String.concat ", " (List.map Type_name.to_string type_names)))
+  | Checked { schema; views; issues = []; _ } ->
+      add_text sink b
+        (String.concat "\n"
+           (summary_line schema
+            :: List.map
+                 (fun (name, expr) -> Fmt.str "view %s = %s" name (view_str expr))
+                 views
+           @ [ "ok." ]))
+  | Checked { issues; file; _ } ->
+      add_text sink b
+        (String.concat "\n"
+           (List.map
+              (fun i ->
+                Fmt.str "error: %s%s" i
+                  (match file with None -> "" | Some f -> Fmt.str " (%s)" f))
+              issues))
+  | Inferred { views = []; _ } -> add_text sink b "no views declared."
   | Inferred { views; _ } ->
-      if views = [] then "no views declared."
-      else
-        String.concat "\n"
-          (List.map
-             (fun (_name, res) ->
-               match res with
-               | Admitted p ->
-                   Fmt.str "%a\n  instantiated by this schema"
-                     Infer.pp_principal p
-               | Not_instantiated (p, e) ->
-                   Fmt.str "%a\n  not instantiated: %s" Infer.pp_principal p
-                     (Infer.error_message e)
-               | Ill_typed_view (n, e) ->
-                   Fmt.str "view %s : ill-typed\n  %s" n
-                     (Infer.error_message e))
-             views)
-  | Resolved { call; resolution; _ } -> (
-      match resolution with
-      | Selected (k, chain) ->
-          String.concat "\n"
-            (Fmt.str "%s -> %s" call (key_str k)
-            :: List.mapi
-                 (fun i (k, params) ->
-                   Fmt.str "  %d. %s(%s)" (i + 1) (key_str k)
-                     (String.concat ","
-                        (List.map Type_name.to_string params)))
-                 chain)
-      | Ambiguous keys ->
-          Fmt.str "error: call to %s is ambiguous between %s" call
-            (String.concat " and " (List.map key_str keys))
-      | No_method -> Fmt.str "error: no applicable method for %s" call)
-  | Diag d -> Fmt.str "%a" Diagnostic.pp d
-  | Bye -> "bye"
+      add_text sink b
+        (String.concat "\n"
+           (List.map
+              (fun (_name, res) ->
+                match res with
+                | Admitted p ->
+                    Fmt.str "%a\n  instantiated by this schema"
+                      Infer.pp_principal p
+                | Not_instantiated (p, e) ->
+                    Fmt.str "%a\n  not instantiated: %s" Infer.pp_principal p
+                      (Infer.error_message e)
+                | Ill_typed_view (n, e) ->
+                    Fmt.str "view %s : ill-typed\n  %s" n
+                      (Infer.error_message e))
+              views))
+  | Resolved { call; resolution = Selected (k, chain); _ } ->
+      add_text sink b
+        (String.concat "\n"
+           (Fmt.str "%s -> %s" call (key_str k)
+           :: List.mapi
+                (fun i (k, params) ->
+                  Fmt.str "  %d. %s(%s)" (i + 1) (key_str k)
+                    (String.concat "," (List.map Type_name.to_string params)))
+                chain))
+  | Resolved { call; resolution = Ambiguous keys; _ } ->
+      add_text sink b
+        (Fmt.str "error: call to %s is ambiguous between %s" call
+           (String.concat " and " (List.map key_str keys)))
+  | Resolved { call; resolution = No_method; _ } ->
+      add_text sink b (Fmt.str "error: no applicable method for %s" call)
+  | Diag d -> add_text sink b (Fmt.str "%a" Diagnostic.pp d)
+  | Bye -> add_text sink b "bye"
+
+let render o =
+  let b =
+    Buffer.create
+      (match o with Extent { rows; _ } -> 128 * (List.length rows + 1) | _ -> 256)
+  in
+  render_to Plain b o;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

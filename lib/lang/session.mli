@@ -159,8 +159,22 @@ val resolve_call :
 
 (** {1 Rendering} *)
 
+(** Where {!render_to} writes an outcome's text:
+    - [Plain]: the text itself;
+    - [Escaped]: [String.escaped] of the text, as the server's quoted
+      [eval] reply carries it.  Line breaks become ["\\n"] and string
+      values are escaped twice in the same pass, so no plain text is
+      built first. *)
+type sink = Plain | Escaped
+
+(** [render_to sink b o] appends the canonical text form of [o]
+    through [sink] to [b]: [Plain] appends {!render}[ o], [Escaped]
+    appends [String.escaped (render o)], byte for byte. *)
+val render_to : sink -> Buffer.t -> outcome -> unit
+
 (** The canonical text form (no trailing newline; multi-line outcomes
-    join with ['\n']).  All frontends print exactly this. *)
+    join with ['\n']).  All frontends print exactly this: it is
+    {!render_to} [Plain] into a fresh buffer. *)
 val render : outcome -> string
 
 (** The canonical JSON payload (the CLI wraps it in its envelope). *)

@@ -13,12 +13,18 @@ type t =
 
 val equal : t -> t -> bool
 
-(** The printed form {!pp} writes: [12], [1.5] (["%g"]), ["text"]
+(** The printed form {!pp} writes: [12], [1.5] (["%.6g"]), ["text"]
     (OCaml escapes), [true], [year(1975)], [#3], [null]. *)
 val to_string : t -> string
 
-(** {!to_string} appended to a buffer. *)
+(** {!to_string} appended to a buffer.  A float's ["%.6g"] text comes
+    from an exact digit loop for magnitudes in [\[1e-4, 999999.5)],
+    and from the C formatter otherwise; both print the same bytes. *)
 val add_to_buffer : Buffer.t -> t -> unit
+
+(** [add_escaped_to_buffer b v] appends [String.escaped (to_string v)]
+    to [b] without building either string. *)
+val add_escaped_to_buffer : Buffer.t -> t -> unit
 
 (** [add_int b i] appends [string_of_int i] to [b]. *)
 val add_int : Buffer.t -> int -> unit

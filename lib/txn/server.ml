@@ -77,10 +77,10 @@ let oid_of_token tok =
 
 let slot_of_token tok =
   match String.index_opt tok '=' with
-  | Some i ->
+  | Some i when i > 0 ->
       ( Attr_name.of_string (String.sub tok 0 i),
         Dump.value_of_string 0 (String.sub tok (i + 1) (String.length tok - i - 1)) )
-  | None -> parse_fail "expected attr=value, got %s" tok
+  | Some _ | None -> parse_fail "expected attr=value, got %s" tok
 
 let branch_of_token tok =
   if Txn_log.valid_branch_name tok then tok
@@ -154,6 +154,9 @@ type session = {
   mutable pinned : Mvcc.snapshot option;
       (* the head an [eval] outside a transaction reads, fixed at the
          start of the request *)
+  reply : Buffer.t;
+      (* where [eval] replies are built, kept across requests so a
+         stream of large extents reuses one allocation *)
 }
 
 let session ?(mode = Read_write) ~store () =
@@ -162,7 +165,8 @@ let session ?(mode = Read_write) ~store () =
     sbranch = Mvcc.main_branch;
     txn = None;
     lang = None;
-    pinned = None
+    pinned = None;
+    reply = Buffer.create 4096
   }
 
 (* The overlay inside a transaction (only this session writes it), the
@@ -265,14 +269,27 @@ let refuse_verb (req : request) =
   | Branch _ | Seq | Lag | Eval _ | Quit ->
       None
 
-(* [Fmt.str "ok %S"] in one buffer: a served extent is escaped once,
-   straight behind its prefix, and copied out once *)
-let quote_reply ~failed text =
-  let b = Buffer.create (String.length text + (String.length text / 8) + 8) in
-  Buffer.add_string b (if failed then "err \"" else "ok \"");
-  Value.add_escaped b text;
+(* A reply buffer grown past this is given back after the reply, so an
+   idle session does not keep its largest extent's worth of bytes. *)
+let reply_keep = 1 lsl 20
+
+(* The [eval] reply in the session's buffer: the prefix, each outcome
+   rendered already escaped (the text [Fmt.str "ok %S"] would quote is
+   never built), the closing quote, and one copy out. *)
+let eval_reply s outcomes =
+  let b = s.reply in
+  Buffer.clear b;
+  Buffer.add_string b
+    (if List.exists Tdp_lang.Session.failed outcomes then "err \"" else "ok \"");
+  List.iteri
+    (fun i o ->
+      if i > 0 then Buffer.add_string b "\\n";
+      Tdp_lang.Session.render_to Escaped b o)
+    outcomes;
   Buffer.add_char b '"';
-  Buffer.contents b
+  let reply = Buffer.contents b in
+  if Buffer.length b > reply_keep then Buffer.reset b;
+  reply
 
 (* One request -> one response line (no trailing newline).  [Quit] is
    handled by the caller; every path here keeps the session alive. *)
@@ -328,9 +345,16 @@ let respond s (req : request) =
       Fmt.str "ok %s" (Type_name.to_string (Mvcc.type_of (read_snapshot s) oid))
   | Extent ty ->
       let oids = Mvcc.extent (read_snapshot s) ty in
-      Fmt.str "ok %d%s" (List.length oids)
-        (String.concat ""
-           (List.map (fun o -> Fmt.str " #%d" (Oid.to_int o)) oids))
+      let n = List.length oids in
+      let b = Buffer.create (16 + (9 * n)) in
+      Buffer.add_string b "ok ";
+      Value.add_int b n;
+      List.iter
+        (fun o ->
+          Buffer.add_string b " #";
+          Value.add_int b (Oid.to_int o))
+        oids;
+      Buffer.contents b
   | Count -> Fmt.str "ok %d" (Mvcc.count (read_snapshot s))
   | Version -> Fmt.str "ok %d" (Mvcc.version (read_snapshot s))
   | Branches ->
@@ -359,15 +383,9 @@ let respond s (req : request) =
       (* same outcomes and rendering as [odb repl]; statement-level
          failures are part of the payload (the session survives), and
          the whole response is [err] iff any statement failed *)
-      let outcomes =
-        with_pinned s (fun () -> Tdp_lang.Session.eval_string (lang_session s) source)
-      in
-      let text =
-        match outcomes with
-        | [ o ] -> Tdp_lang.Session.render o
-        | os -> String.concat "\n" (List.map Tdp_lang.Session.render os)
-      in
-      quote_reply ~failed:(List.exists Tdp_lang.Session.failed outcomes) text
+      eval_reply s
+        (with_pinned s (fun () ->
+             Tdp_lang.Session.eval_string (lang_session s) source))
 
 (* Total: every failure of a single request becomes an [err] line. *)
 let handle_line s line =

@@ -43,7 +43,9 @@
     ({!Tdp_lang.Stmt}) through a per-connection
     {!Tdp_lang.Session} — the same statements, outcomes and rendering
     as [odb repl].  The quoted response payload is the newline-joined
-    {!Tdp_lang.Session.render} of each statement's outcome; it comes
+    {!Tdp_lang.Session.render} of each statement's outcome, written
+    already escaped by {!Tdp_lang.Session.render_to} into one buffer
+    the session keeps across requests; it comes
     back as [err] iff any statement failed (the session, its views and
     its [let] bindings survive either way).  Reads see the open
     transaction's overlay (the branch head otherwise); mutating
@@ -116,11 +118,6 @@ val session : ?mode:mode -> store:Mvcc.t -> unit -> session
 (** Handle one request line, total: every failure becomes an
     [err "…"] response line. *)
 val handle_line : session -> string -> string
-
-(** The [eval] response line for a transcript: [ok "TEXT"], or
-    [err "TEXT"] when [failed], TEXT escaped as [String.escaped]
-    escapes it. *)
-val quote_reply : failed:bool -> string -> string
 
 (** {1 Generic listener}
 

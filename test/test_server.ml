@@ -445,8 +445,16 @@ let test_stop_with_idle_client () =
   Thread.join stopper;
   Alcotest.(check bool) "stop returned within 2 s" true in_time
 
-(* The [eval] response is built in one buffer; it must be byte for
-   byte what [String.concat] over [String.escaped] gave. *)
+(* A quoted reply built in one buffer with [Value.add_escaped], the
+   escaping the served [eval] reply uses for its text; it must be byte
+   for byte what [String.concat] over [String.escaped] gives. *)
+let quote_reply ~failed text =
+  let b = Buffer.create (String.length text + (String.length text / 8) + 8) in
+  Buffer.add_string b (if failed then "err \"" else "ok \"");
+  Value.add_escaped b text;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
 let reference_reply ~failed text =
   String.concat "" [ (if failed then "err \"" else "ok \""); String.escaped text; "\"" ]
 
@@ -457,7 +465,7 @@ let test_quote_reply_bytes () =
       List.iter
         (fun failed ->
           Alcotest.(check string) (String.escaped text)
-            (reference_reply ~failed text) (Server.quote_reply ~failed text))
+            (reference_reply ~failed text) (quote_reply ~failed text))
         [ false; true ])
     ("" :: all :: (all ^ all) :: List.init 256 (fun c -> String.make 1 (Char.chr c)))
 
@@ -465,7 +473,61 @@ let prop_quote_reply =
   QCheck.Test.make ~name:"quote_reply = ok/err + String.escaped" ~count:1000
     QCheck.(pair bool (string_gen_of_size Gen.(0 -- 300) Gen.char))
     (fun (failed, text) ->
-      String.equal (Server.quote_reply ~failed text) (reference_reply ~failed text))
+      String.equal (quote_reply ~failed text) (reference_reply ~failed text))
+
+(* A slot token with no attribute name is a request error, not an
+   exception that ends the connection: the session, and the
+   transaction it has open, carry on. *)
+let test_malformed_slot () =
+  let store = Mvcc.create ~load_schema schema in
+  let s = Server.session ~store () in
+  let run line = Server.handle_line s line in
+  Alcotest.(check string) "begin" "ok txn 1 base 0" (run "begin");
+  Alcotest.(check string) "new" "ok #1" (run "new Employee ssn=1");
+  Alcotest.(check string) "set with no name" "err \"expected attr=value, got =5\""
+    (run "set #1 =5");
+  Alcotest.(check string) "new with no name" "err \"expected attr=value, got =3\""
+    (run "new Employee =3");
+  Alcotest.(check string) "version" "ok 0" (run "version");
+  Alcotest.(check string) "commit" "ok committed 1" (run "commit");
+  Alcotest.(check string) "count" "ok 1" (run "count")
+
+(* ... and over a socket, where an escaping exception used to close the
+   connection with no reply. *)
+let test_malformed_slot_socket () =
+  with_server (fun addr ->
+      let c = Server.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Server.close_client c)
+        (fun () ->
+          ignore (expect c "begin" "ok txn");
+          ignore (expect c "set #1 =5" "err \"expected attr=value, got =5\"");
+          ignore (expect c "new Employee =3" "err \"expected attr=value, got =3\"");
+          ignore (expect c "version" "ok 1");
+          ignore (expect c "set #1 ssn=9" "ok");
+          ignore (expect c "commit" "ok committed 2");
+          ignore (expect c "get #1 ssn" "ok 9")))
+
+(* The [extent] verb's reply, byte for byte as its per-OID format. *)
+let test_extent_verb_bytes () =
+  let store = Mvcc.create ~load_schema schema in
+  let s = Server.session ~store () in
+  let run line = Server.handle_line s line in
+  let want oids =
+    Fmt.str "ok %d%s" (List.length oids)
+      (String.concat "" (List.map (fun o -> Fmt.str " #%d" o) oids))
+  in
+  Alcotest.(check string) "no OIDs" (want []) (run "extent Person");
+  ignore (run "begin");
+  ignore (run "new Person ssn=1");
+  Alcotest.(check string) "one OID" (want [ 1 ]) (run "extent Person");
+  for i = 2 to 1200 do
+    ignore (run (Fmt.str "new %s ssn=%d" (if i mod 3 = 0 then "Person" else "Employee") i))
+  done;
+  Alcotest.(check string) "many OIDs" (want (List.init 1200 succ)) (run "extent Person");
+  Alcotest.(check string) "deep extent"
+    (want (List.filter (fun i -> i > 1 && i mod 3 <> 0) (List.init 1200 succ)))
+    (run "extent Employee")
 
 let suite =
   [ Alcotest.test_case "protocol unit" `Quick test_protocol_unit;
@@ -485,6 +547,10 @@ let suite =
     Alcotest.test_case "served method calls" `Quick test_served_calls;
     Alcotest.test_case "stop with an idle client connected" `Quick
       test_stop_with_idle_client;
+    Alcotest.test_case "malformed slot keeps the session" `Quick test_malformed_slot;
+    Alcotest.test_case "malformed slot keeps the connection" `Quick
+      test_malformed_slot_socket;
+    Alcotest.test_case "extent verb reply bytes" `Quick test_extent_verb_bytes;
     Alcotest.test_case "quote_reply over every byte" `Quick test_quote_reply_bytes;
     QCheck_alcotest.to_alcotest prop_quote_reply
   ]

@@ -382,16 +382,21 @@ let repl_transcript () =
         (fun () -> Repl.run s ic out);
       read_file out_f)
 
-(* Frontend C: a served eval session over an MVCC store. *)
-let server_transcript () =
+(* A served session over an MVCC store, inside a transaction. *)
+let served_session () =
   let r = Lazy.force elab in
   let load_schema src = (Elaborate.load_exn src).Elaborate.schema in
   let store = Mvcc.create ~load_schema r.Elaborate.schema in
   let s = Server.session ~store () in
-  let run line = Server.handle_line s line in
-  (match run "begin" with
+  (match Server.handle_line s "begin" with
   | resp when String.length resp >= 2 && String.sub resp 0 2 = "ok" -> ()
   | resp -> Alcotest.failf "begin refused: %s" resp);
+  s
+
+(* Frontend C: a served eval session over an MVCC store. *)
+let server_transcript () =
+  let s = served_session () in
+  let run line = Server.handle_line s line in
   let payload line =
     let resp = run (Fmt.str "eval %S" line) in
     try Scanf.sscanf resp "ok %S%!" Fun.id
@@ -436,6 +441,124 @@ let test_server_eval_needs_txn () =
   if not (contains resp "ok ") then
     Alcotest.failf "session should survive: %s" resp
 
+(* ---- the served reply is render + String.escaped ------------------ *)
+
+(* The [eval] reply as plain text would quote it: the escaping sink
+   must give exactly these bytes without building the text. *)
+let escaped_reply os =
+  String.concat ""
+    [ (if List.exists Session.failed os then "err \"" else "ok \"");
+      String.escaped (String.concat "\n" (List.map Session.render os));
+      "\""
+    ]
+
+(* Rows for the generated statements to read.  The statement lexer
+   keeps every byte of a string literal and decodes only a backslash
+   before a quote, so these names hold a quote, a backslash, a newline,
+   a tab, control and non-ASCII bytes: each is escaped once in the text
+   and twice in a reply. *)
+let reply_seed =
+  [ "new Employee { ssn = 1; name = \"amy \\\"q\\\" \\ a\nb\"; \
+     date_of_birth = year(1970); pay_rate = 50.0; hrs_worked = 30.5 };";
+    "new Employee { ssn = 2; name = \"\t\001\127\200\255 caf\195\169\"; \
+     date_of_birth = year(1999); pay_rate = 0.1; hrs_worked = 0.00001 };";
+    "new Person { ssn = 3; name = \"\"; date_of_birth = year(1980) };";
+    "new Employee { ssn = 4; name = \"d\"; date_of_birth = year(2000); \
+     pay_rate = 123456.5; hrs_worked = 2.0 };"
+  ]
+
+(* ... and reads of every row after the script, several per line. *)
+let reply_reads =
+  [ ":extent Person"; "call income on Employee; call age on Person;" ]
+
+(* A script runs statement by statement through the Session API and
+   through a served session inside one transaction, between
+   [reply_seed] and [reply_reads]; every served reply must be the
+   escaped render of the direct outcomes. *)
+let prop_served_reply =
+  QCheck.Test.make ~name:"served eval reply = ok/err + String.escaped render"
+    ~count:200
+    (QCheck.make
+       ~print:(fun l -> String.concat "\n" (List.map Stmt.to_string l))
+       QCheck.Gen.(list_size (int_range 1 12) Gen_stmt.stmt))
+    (fun script ->
+      let direct = fresh_session ~views:false () and served = served_session () in
+      List.for_all
+        (fun line ->
+          let os = Session.eval_string direct line in
+          let want = escaped_reply os in
+          let resp = Server.handle_line served (Fmt.str "eval %S" line) in
+          if resp <> want then
+            QCheck.Test.fail_reportf "served %S:\n%s\nwanted\n%s" line resp want;
+          true)
+        (reply_seed @ List.map Stmt.to_string script @ reply_reads))
+
+(* Rows no statement literal can write: every byte in a string, NaN
+   and infinite floats, nulls.  Rendered through the escaping sink as
+   outcomes, and stored through the protocol's [new] and read back by
+   served extents and calls. *)
+let awkward_rows =
+  let all = String.init 256 Char.chr in
+  [ (all, Value.Float Float.nan, Value.Null);
+    (all ^ all, Value.Float Float.infinity, Value.Float Float.neg_infinity);
+    ("\"\\\"\\\\\n\n\r", Value.Float (-0.0), Value.Float 1e-300);
+    ("caf\xc3\xa9 \xe2\x88\x80x \xf0\x9f\x98\x80", Value.Float 123456.5, Value.Float 0.1);
+    ("", Value.Null, Value.Float 9.999995)
+  ]
+
+let test_escaped_render_awkward () =
+  let attrs = [ at "name"; at "pay_rate"; at "hrs_worked" ] in
+  let rows =
+    List.mapi
+      (fun i (name, pay, hrs) ->
+        (Tdp_store.Oid.of_int (i + 1), [ Value.String name; pay; hrs ]))
+      awkward_rows
+  in
+  let extent rows =
+    Session.Extent { expr = Tdp_algebra.View.Base (ty "Employee"); attrs; rows }
+  in
+  let called =
+    Session.Called
+      { gf = "income"; results = List.map (fun (o, vs) -> (o, List.hd vs)) rows }
+  in
+  let failed =
+    Session.Diag
+      (Tdp_analysis.Diagnostic.make ~code:"TDP055" ~severity:Tdp_analysis.Diagnostic.Error
+         "bad \"x\"\n\\")
+  in
+  List.iter
+    (fun o ->
+      let b = Buffer.create 16 in
+      Session.render_to Session.Escaped b o;
+      Alcotest.(check string) "escaping sink" (String.escaped (Session.render o))
+        (Buffer.contents b))
+    [ extent []; extent rows; called; failed; Session.Called { gf = "f"; results = [] } ];
+  (* the same rows through a served store, against a direct session *)
+  let served = served_session () in
+  let r = Lazy.force elab in
+  let db = Database.create r.Elaborate.schema in
+  List.iter
+    (fun (name, pay, hrs) ->
+      let init = [ (at "name", Value.String name); (at "pay_rate", pay); (at "hrs_worked", hrs) ] in
+      ignore (Database.new_object db (ty "Employee") ~init);
+      let slot (a, v) = Fmt.str "%a=%s" Tdp_core.Attr_name.pp a (Tdp_store.Dump.value_to_string v) in
+      let resp = Server.handle_line served (String.concat " " ("new Employee" :: List.map slot init)) in
+      if String.length resp < 2 || String.sub resp 0 2 <> "ok" then
+        Alcotest.failf "new refused: %s" resp)
+    awkward_rows;
+  let direct = Session.of_database db in
+  List.iter
+    (fun line ->
+      Alcotest.(check string) line
+        (escaped_reply (Session.eval_string direct line))
+        (Server.handle_line served (Fmt.str "eval %S" line)))
+    [ ":extent Employee";
+      ":extent project Employee on [name, hrs_worked]";
+      "call get_name on Employee; call get_hrs_worked on Employee;";
+      ":extent Employee; :extent Nope";
+      ":extent Nope; call get_name on Employee;"
+    ]
+
 let () =
   Alcotest.run "session"
     [
@@ -458,5 +581,8 @@ let () =
             test_differential;
           Alcotest.test_case "eval without txn is TDP055" `Quick
             test_server_eval_needs_txn;
+          Alcotest.test_case "escaped render of awkward rows" `Quick
+            test_escaped_render_awkward;
+          QCheck_alcotest.to_alcotest prop_served_reply;
         ] );
     ]

@@ -374,6 +374,63 @@ let prop_add_int =
     QCheck.(oneof [ int; small_signed_int ])
     (fun i -> String.equal (int_text i) (string_of_int i))
 
+(* A float prints as "%.6g" prints it; most magnitudes take an exact
+   digit loop, the rest the C formatter, and the two must not differ. *)
+let float_text f = Value.to_string (Value.Float f)
+
+let check_float f =
+  Alcotest.(check string) (Printf.sprintf "%h" f) (Printf.sprintf "%.6g" f) (float_text f)
+
+let test_float_edges () =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  List.iter
+    (fun f ->
+      check_float f;
+      check_float (-.f))
+    ([ 0.0;
+       nan;
+       infinity;
+       max_float;
+       min_float;
+       Float.pred min_float (* the largest subnormal *);
+       Float.succ 0.0 (* the smallest subnormal *);
+       (* six-digit ties, and carries into a seventh digit *)
+       1.234565;
+       0.5;
+       2.5;
+       0.0001234565;
+       123456.5;
+       9.999995;
+       99999.95;
+       999999.4;
+       0.000999999
+     ]
+    @ around 1e-4 @ around 999999.5 @ around 1.0 @ around 0.1 @ around 1e5
+    @ around 0.001);
+  Alcotest.(check string) "-0.0" "-0" (float_text (-0.0))
+
+(* Random bit patterns cover every exponent; decimals [k / 10^j] and
+   their neighbours sit on and beside the six-digit rounding ties. *)
+let float_gen =
+  let open QCheck.Gen in
+  let decimal =
+    map2
+      (fun k j -> float_of_int k /. (10. ** float_of_int j))
+      (int_range (-99_999_999) 99_999_999)
+      (int_range 0 12)
+  in
+  let neighbour = oneof [ return Fun.id; return Float.pred; return Float.succ ] in
+  frequency
+    [ (1, map Int64.float_of_bits ui64);
+      (3, map2 (fun f x -> f x) neighbour decimal);
+      (1, float_range (-1e6) 1e6)
+    ]
+
+let prop_float_text =
+  QCheck.Test.make ~name:"Value float text = %.6g" ~count:100_000
+    (QCheck.make ~print:(Printf.sprintf "%h") float_gen)
+    (fun f -> String.equal (float_text f) (Printf.sprintf "%.6g" f))
+
 let suite =
   [ Alcotest.test_case "new object and slots" `Quick test_new_object_and_slots;
     Alcotest.test_case "DSL end-to-end (multi-inheritance)" `Quick
@@ -396,7 +453,9 @@ let suite =
     Alcotest.test_case "reference attributes" `Quick test_reference_attributes;
     Alcotest.test_case "builtin arithmetic" `Quick test_builtin_arithmetic;
     Alcotest.test_case "add_int at the extremes" `Quick test_add_int_extremes;
-    QCheck_alcotest.to_alcotest prop_add_int
+    QCheck_alcotest.to_alcotest prop_add_int;
+    Alcotest.test_case "float text at the edges" `Quick test_float_edges;
+    QCheck_alcotest.to_alcotest prop_float_text
   ]
 
 let () = Alcotest.run "store" [ ("store", suite) ]
